@@ -62,10 +62,8 @@ usage: run_all [options]
                      seed=7,kill=0.3,hang=0.1,corrupt=0.2,first=1
       --fixed-wall-ms MS  pin every wall-clock field (byte-stable output)
       --profile      after the suite, run the telemetry/profiling pass
-                     (search funnel, worker stats, engine gauges, perf
-                     sentinel) and write envelope-sealed out/profile.json
-      --tolerance F  sentinel tolerance as a fraction below the committed
-                     baseline that still passes (default 0.5)
+                     (search funnel, worker stats, engine gauges) and
+                     write envelope-sealed out/profile.json
       --validate     verify every envelope under the out dir and exit";
 
 /// Everything the CLI decided.
@@ -75,7 +73,6 @@ struct Cli {
     requested_nonce: Option<String>,
     validate: bool,
     profile: bool,
-    tolerance: f64,
 }
 
 /// Parses the argument list into a [`Cli`].
@@ -90,7 +87,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut validate = false;
     let mut profile = false;
     let mut cache = false;
-    let mut tolerance = stellar_bench::profile::DEFAULT_TOLERANCE;
 
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -104,14 +100,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--resume" => resume = true,
             "--validate" => validate = true,
             "--profile" => profile = true,
-            "--tolerance" => {
-                let v = take(a)?;
-                tolerance = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && (0.0..=1.0).contains(t))
-                    .ok_or_else(|| format!("invalid tolerance {v:?} (expected 0..=1)"))?;
-            }
             "-j" | "--jobs" => {
                 let v = take(a)?;
                 opts.jobs = v
@@ -173,7 +161,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         requested_nonce,
         validate,
         profile,
-        tolerance,
     })
 }
 
@@ -286,20 +273,19 @@ fn main() {
     }
 
     if cli.profile && !interrupted {
-        // The profiling pass: search funnel + worker telemetry, engine
-        // introspection, stage timings, and the perf-regression sentinel
-        // against the committed BENCH_*.json baselines. The sentinel
-        // verdict lands in profile.json (CI gates on it with jq); the
-        // exit code stays the suite's.
+        // The profiling pass: search funnel + worker telemetry and engine
+        // introspection. Its findings land in profile.json (CI gates on
+        // it with jq); the exit code stays the suite's.
         let popts = profile::ProfileOptions {
             jobs: opts.jobs,
-            tolerance: cli.tolerance,
             ..profile::ProfileOptions::default()
         };
         let report = profile::run_profile(&popts);
         profile::print_profile(&report);
-        if let Err(e) = profile::write_profile(&dir.join("profile.json"), &report) {
-            eprintln!("warning: could not write profile: {e}");
+        let path = dir.join("profile.json");
+        match durable::write_envelope(&path, &profile::render_profile_json(&report)) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("warning: could not write profile: {e}"),
         }
     }
 

@@ -19,14 +19,16 @@
 //! * `{"cmd":"stats"}` — report cumulative cache accounting.
 //! * `{"cmd":"shutdown"}` — exit cleanly (EOF does the same).
 //!
-//! Malformed lines produce a sealed error response; they never kill the
-//! service. Exit code 2 is reserved for startup failures (unusable cache
-//! directory or arguments).
+//! Malformed lines — including ones that are not UTF-8 — produce a sealed
+//! error response (echoing the line's `id` when one could be read); they
+//! never kill the service. Exit code 2 is reserved for startup failures
+//! (unusable cache directory or arguments).
 
 use std::io::{BufRead, Write};
 
 use stellar_bench::cache::{
-    parse_serve_line, render_serve_error, render_serve_response, DesignCache, ServeCommand,
+    parse_serve_line, render_serve_error, render_serve_response, serve_line_id, DesignCache,
+    ServeCommand,
 };
 use stellar_bench::durable;
 use stellar_bench::report;
@@ -89,7 +91,7 @@ fn main() {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
+    for line in stdin.lock().split(b'\n') {
         let line = match line {
             Ok(l) => l,
             Err(e) => {
@@ -97,7 +99,7 @@ fn main() {
                 break;
             }
         };
-        if line.trim().is_empty() {
+        if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
         let response = respond(&cache, &line);
@@ -115,10 +117,17 @@ fn main() {
 }
 
 /// Answers one protocol line; `None` means shut down.
-fn respond(cache: &DesignCache, line: &str) -> Option<String> {
+fn respond(cache: &DesignCache, line: &[u8]) -> Option<String> {
+    let Ok(line) = std::str::from_utf8(line) else {
+        let id = serve_line_id(&String::from_utf8_lossy(line));
+        return Some(render_serve_error(
+            id.as_deref(),
+            "request line is not valid UTF-8",
+        ));
+    };
     let cmd = match parse_serve_line(line) {
         Ok(c) => c,
-        Err(e) => return Some(render_serve_error(None, &e)),
+        Err(e) => return Some(render_serve_error(serve_line_id(line).as_deref(), &e)),
     };
     Some(match cmd {
         ServeCommand::Shutdown => return None,

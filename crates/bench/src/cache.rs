@@ -28,6 +28,7 @@
 //! worker telemetry, which a served query did not generate) reflect how
 //! the answer was obtained.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -578,19 +579,21 @@ pub struct ServeRequest {
     pub keep: usize,
 }
 
-/// Parses one protocol line.
+/// Parses one protocol line. Only the *top-level* members of the object
+/// are read: a nested `{"meta":{"cmd":"shutdown"}}` is a value that gets
+/// skipped, not a command. Unknown members are ignored; duplicate keys,
+/// trailing bytes after the closing brace, and a known member of the
+/// wrong type or range are errors, never silently the default.
 ///
 /// # Errors
 ///
 /// A human-readable description of the malformed field (the server
 /// echoes it back in an error response).
 pub fn parse_serve_line(line: &str) -> Result<ServeCommand, String> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err("request must be a single-line JSON object".into());
-    }
-    if let Some(cmd) = str_field(line, "cmd") {
-        return match cmd.as_str() {
+    let mut f = LineFields::default();
+    read_members(line, &mut f)?;
+    if let Some(cmd) = f.cmd {
+        return match cmd.as_ref() {
             "invalidate" => Ok(ServeCommand::Invalidate),
             "stats" => Ok(ServeCommand::Stats),
             "shutdown" => Ok(ServeCommand::Shutdown),
@@ -598,28 +601,31 @@ pub fn parse_serve_line(line: &str) -> Result<ServeCommand, String> {
         };
     }
     let defaults = ExploreOptions::default();
-    let spec = str_field(line, "spec").ok_or("missing \"spec\"")?;
-    let bounds = uint_array_field(line, "bounds").ok_or("missing or malformed \"bounds\"")?;
+    let spec = f.spec.ok_or("missing \"spec\"")?;
+    let bounds = f.bounds.ok_or("missing \"bounds\"")?;
     if bounds.is_empty() || bounds.contains(&0) {
         return Err("\"bounds\" extents must be positive".into());
     }
-    let max_coeff = match int_field(line, "max_coeff") {
-        Some(c) if c >= 1 => c,
-        Some(_) => return Err("\"max_coeff\" must be >= 1".into()),
-        None => defaults.max_coeff,
-    };
+    let max_coeff = f.max_coeff.unwrap_or(defaults.max_coeff);
+    if max_coeff < 1 {
+        return Err("\"max_coeff\" must be >= 1".into());
+    }
     Ok(ServeCommand::Query(ServeRequest {
-        id: str_field(line, "id"),
-        spec,
+        id: f.id.map(Cow::into_owned),
+        spec: spec.into_owned(),
         bounds,
         max_coeff,
-        max_pes: int_field(line, "max_pes")
-            .and_then(|v| usize::try_from(v).ok())
-            .unwrap_or(defaults.max_pes),
-        keep: int_field(line, "keep")
-            .and_then(|v| usize::try_from(v).ok())
-            .unwrap_or(defaults.keep),
+        max_pes: f.max_pes.unwrap_or(defaults.max_pes),
+        keep: f.keep.unwrap_or(defaults.keep),
     }))
+}
+
+/// The `id` of a line, as far as the reader gets before the first
+/// malformed byte — what an error response to a rejected line echoes.
+pub fn serve_line_id(line: &str) -> Option<String> {
+    let mut f = LineFields::default();
+    let _ = read_members(line, &mut f);
+    f.id.map(Cow::into_owned)
 }
 
 impl ServeRequest {
@@ -699,37 +705,225 @@ pub fn render_serve_error(id: Option<&str>, msg: &str) -> String {
     )
 }
 
-fn find_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag)? + tag.len();
-    Some(line[start..].trim_start())
+/// The top-level members of one protocol line the service understands.
+#[derive(Default)]
+struct LineFields<'a> {
+    cmd: Option<Cow<'a, str>>,
+    id: Option<Cow<'a, str>>,
+    spec: Option<Cow<'a, str>>,
+    bounds: Option<Vec<usize>>,
+    max_coeff: Option<i64>,
+    max_pes: Option<usize>,
+    keep: Option<usize>,
 }
 
-fn str_field(line: &str, name: &str) -> Option<String> {
-    let rest = find_field(line, name)?.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-fn int_field(line: &str, name: &str) -> Option<i64> {
-    let rest = find_field(line, name)?;
-    let len = rest
-        .char_indices()
-        .take_while(|&(n, c)| c.is_ascii_digit() || (n == 0 && c == '-'))
-        .count();
-    rest[..len].parse().ok()
-}
-
-fn uint_array_field(line: &str, name: &str) -> Option<Vec<usize>> {
-    let rest = find_field(line, name)?.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
+/// The one reader of the serve protocol: a single pass over the top-level
+/// members of `line`, filling `f` as it goes (so on an error `f` holds
+/// what preceded it). Every other member is checked for shape and skipped.
+fn read_members<'a>(line: &'a str, f: &mut LineFields<'a>) -> Result<(), String> {
+    let mut c = Cursor {
+        text: line.trim(),
+        pos: 0,
+    };
+    if !c.eat(b'{') {
+        return Err("request must be a single-line JSON object".into());
     }
-    body.split(',')
-        .map(|s| s.trim().parse::<usize>().ok())
-        .collect()
+    let mut seen = Vec::new();
+    c.members(b'}', |c| {
+        let key = c.key()?;
+        if seen.contains(&key) {
+            return Err(format!("duplicate member {key:?}"));
+        }
+        let raw = c.value(0)?;
+        let not = |what: &str| format!("{key:?} must be {what}");
+        let text = || unescape(raw).ok_or_else(|| not("a string"));
+        let count = || raw.parse().map_err(|_| not("a non-negative integer"));
+        match key.as_ref() {
+            "cmd" => f.cmd = Some(text()?),
+            "id" => f.id = Some(text()?),
+            "spec" => f.spec = Some(text()?),
+            "bounds" => {
+                let items = raw.strip_prefix('[').and_then(|r| r.strip_suffix(']'));
+                let extents = items.and_then(|items| match items.trim() {
+                    "" => Some(Vec::new()),
+                    items => items.split(',').map(|e| e.trim().parse().ok()).collect(),
+                });
+                f.bounds = Some(extents.ok_or_else(|| not("an array of non-negative integers"))?);
+            }
+            "max_coeff" => f.max_coeff = Some(raw.parse().map_err(|_| not("an integer"))?),
+            "max_pes" => f.max_pes = Some(count()?),
+            "keep" => f.keep = Some(count()?),
+            _ => {}
+        }
+        seen.push(key);
+        Ok(())
+    })?;
+    if c.pos != c.text.len() {
+        return Err(format!("bytes after the request object at byte {}", c.pos));
+    }
+    Ok(())
+}
+
+/// Nesting allowed inside a skipped member; deeper input is rejected so
+/// no line can exhaust the stack.
+const MAX_SKIP_DEPTH: usize = 32;
+
+/// A byte position in one line. `pos` only ever stops after an ASCII
+/// byte, so it is always a UTF-8 boundary.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", byte as char, self.pos))
+        }
+    }
+
+    /// The comma-separated items of an object or array whose opening
+    /// bracket has been consumed, through its closing bracket.
+    fn members(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Cursor<'a>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.ws();
+        if self.eat(close) {
+            return Ok(());
+        }
+        loop {
+            self.ws();
+            item(self)?;
+            self.ws();
+            if !self.eat(b',') {
+                return self.expect(close);
+            }
+        }
+    }
+
+    /// An object key, decoded, with its colon.
+    fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let at = self.pos;
+        let key = unescape(self.string()?).ok_or(format!("malformed key at byte {at}"))?;
+        self.ws();
+        self.expect(b':')?;
+        self.ws();
+        Ok(key)
+    }
+
+    /// The extent of a string, quotes included, escapes not interpreted.
+    fn string(&mut self) -> Result<&'a str, String> {
+        let start = self.pos;
+        self.expect(b'"')?;
+        loop {
+            match self.peek().ok_or("unterminated string")? {
+                b'"' => break,
+                b'\\' => self.pos += 2,
+                _ => self.pos += 1,
+            }
+        }
+        self.pos += 1;
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// The extent of one JSON value of any shape, checked for structure.
+    fn value(&mut self, depth: usize) -> Result<&'a str, String> {
+        let start = self.pos;
+        if depth > MAX_SKIP_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_SKIP_DEPTH} at byte {start}"
+            ));
+        }
+        match self.peek() {
+            Some(b'"') => return self.string(),
+            Some(b'{') => {
+                self.pos += 1;
+                self.members(b'}', |c| c.key().and_then(|_| c.value(depth + 1)).map(drop))?;
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                self.members(b']', |c| c.value(depth + 1).map(drop))?;
+            }
+            _ => {
+                while matches!(
+                    self.peek(),
+                    Some(b'a'..=b'z' | b'0'..=b'9' | b'E' | b'+' | b'-' | b'.')
+                ) {
+                    self.pos += 1;
+                }
+                let token = &self.text[start..self.pos];
+                let number = token.starts_with(|c: char| c == '-' || c.is_ascii_digit())
+                    && token.parse::<f64>().is_ok_and(f64::is_finite);
+                if !number && !matches!(token, "true" | "false" | "null") {
+                    return Err(format!("expected a value at byte {start}"));
+                }
+            }
+        }
+        Ok(&self.text[start..self.pos])
+    }
+}
+
+/// Decodes the string literal `raw` (quotes included); `None` if `raw` is
+/// not a string or holds an invalid escape or a raw control character.
+fn unescape(raw: &str) -> Option<Cow<'_, str>> {
+    let body = raw.strip_prefix('"')?.strip_suffix('"')?;
+    if !body.contains(|c: char| c == '\\' || c < ' ') {
+        return Some(Cow::Borrowed(body));
+    }
+    let mut out = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    let hex4 = |chars: &mut std::str::Chars| {
+        let digits = chars.as_str().get(..4)?;
+        *chars = chars.as_str()[4..].chars();
+        let hex = digits.bytes().all(|b| b.is_ascii_hexdigit());
+        u32::from_str_radix(digits, 16).ok().filter(|_| hex)
+    };
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                'b' => '\u{8}',
+                'f' => '\u{c}',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => match hex4(&mut chars)? {
+                    hi @ 0xd800..=0xdbff => {
+                        let lo = chars.as_str().strip_prefix("\\u").and_then(|rest| {
+                            chars = rest.chars();
+                            hex4(&mut chars).filter(|lo| (0xdc00..0xe000).contains(lo))
+                        })?;
+                        char::from_u32(0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00))?
+                    }
+                    scalar => char::from_u32(scalar)?,
+                },
+                c @ ('"' | '\\' | '/') => c,
+                _ => return None,
+            },
+            c if c < ' ' => return None,
+            c => c,
+        });
+    }
+    Some(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -799,5 +993,103 @@ mod tests {
             other => panic!("expected a query, got {other:?}"),
         };
         assert!(req.to_query().is_err());
+    }
+
+    fn query_of(line: &str) -> ServeRequest {
+        match parse_serve_line(line) {
+            Ok(ServeCommand::Query(q)) => q,
+            other => panic!("expected a query from {line}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_top_level_members_are_read() {
+        // A nested "cmd" is a value to skip, not a command; so is a
+        // "max_pes" inside an array of objects or inside a string.
+        let q = query_of(r#"{"spec":"matmul","bounds":[3,3,3],"meta":{"cmd":"shutdown"}}"#);
+        assert_eq!(q.bounds, [3, 3, 3]);
+        let q = query_of(
+            r#"{"x":[{"max_pes":1}],"y":"\"max_pes\":2","spec":"matmul","bounds":[ 2, 2 ,2 ]}"#,
+        );
+        assert_eq!(q.max_pes, ExploreOptions::default().max_pes);
+    }
+
+    #[test]
+    fn string_escapes_are_decoded_and_echoed_whole() {
+        let q = query_of(r#"{"id":"a\"b\\cé😀\n\/","spec":"matmul","bounds":[2,2,2]}"#);
+        assert_eq!(q.id.as_deref(), Some("a\"b\\c\u{e9}\u{1f600}\n/"));
+        let echoed = render_serve_error(q.id.as_deref(), "x");
+        assert!(echoed.contains(r#""id":"a\"b\\cé😀\n/""#), "{echoed}");
+        // A lone surrogate (twice), bad hex (twice), an unknown escape, a
+        // raw tab, no closing quote.
+        for id in "\\ud83d \\ud83dA \\u12g4 \\u+123 \\q a\tb a\\".split(' ') {
+            let line = format!(r#"{{"id":"{id}","spec":"matmul","bounds":[2,2,2]}}"#);
+            assert!(parse_serve_line(&line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn malformed_known_members_are_errors_not_defaults() {
+        let with = |member: &str| format!(r#"{{"spec":"matmul","bounds":[2,2,2],{member}}}"#);
+        for field in ["max_pes", "keep", "max_coeff"] {
+            for bad in r#"-5 "7" 99999999999999999999 1.5 1e3 null [1]"#.split(' ') {
+                let line = with(&format!("\"{field}\":{bad}"));
+                let err = parse_serve_line(&line).expect_err(&line);
+                assert!(err.contains(field), "{line}: {err}");
+            }
+        }
+        for bad in r#"[2,-2,2] [2,2.0,2] [[2],2,2] "2,2,2" [2,"2",2] 7"#.split(' ') {
+            let line = format!(r#"{{"spec":"matmul","bounds":{bad}}}"#);
+            let err = parse_serve_line(&line).expect_err(&line);
+            assert!(err.contains("bounds"), "{line}: {err}");
+        }
+        for bad in [
+            r#"{"spec":7,"bounds":[2,2,2]}"#,
+            r#"{"cmd":7}"#,
+            &with("\"id\":7"),
+        ] {
+            assert!(parse_serve_line(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn duplicates_trailing_bytes_and_broken_structure_are_rejected() {
+        let ok = r#"{"spec":"matmul","bounds":[2,2,2]}"#;
+        assert!(parse_serve_line(ok).is_ok());
+        let deep = |n| {
+            format!(
+                r#"{{"x":{}{},"cmd":"stats"}}"#,
+                "[".repeat(n),
+                "]".repeat(n)
+            )
+        };
+        for bad in [
+            r#"{"spec":"matmul","bounds":[2,2,2],"spec":"max_pool"}"#,
+            r#"{"x":1,"x":2,"spec":"matmul","bounds":[2,2,2]}"#,
+            &format!("{ok}}}"),
+            &format!("{ok} {ok}"),
+            r#"{"spec":"matmul","bounds":[2,2,2],}"#,
+            r#"{"spec":"matmul" "bounds":[2,2,2]}"#,
+            r#"{"spec":"matmul","bounds":[2,,2]}"#,
+            r#"{"spec":"matmul","bounds":[2,2,2],"x":-inf}"#,
+            r#"{"spec":"matmul","bounds":[2,2,2],"x":{"a" 1}}"#,
+            &deep(100_000),
+        ] {
+            assert!(parse_serve_line(bad).is_err(), "{bad:.80}");
+        }
+        // Nesting within the bound is skipped like any other value.
+        assert_eq!(
+            parse_serve_line(&deep(MAX_SKIP_DEPTH)),
+            Ok(ServeCommand::Stats)
+        );
+    }
+
+    #[test]
+    fn a_rejected_line_still_yields_the_id_read_before_the_error() {
+        let line = r#"{"id":"r\"7","spec":"matmul","bounds":[2,2,2],"keep":-1}"#;
+        assert!(parse_serve_line(line).is_err());
+        assert_eq!(serve_line_id(line).as_deref(), Some("r\"7"));
+        // Not reached: the id comes after the malformed member.
+        assert_eq!(serve_line_id(r#"{"keep":-1,"id":"r7"}"#), None);
     }
 }

@@ -19,9 +19,8 @@
 //!
 //! Everything the harness persists — per-experiment reports, the
 //! consolidated `metrics.json`, the `run_state.json` resume manifest,
-//! `run_summary.json`, the perf-smoke tables, and the committed
-//! `BENCH_*.json` baselines — goes through [`write_envelope`] /
-//! [`read_envelope`]. Chrome traces stay plain JSON (external tools load
+//! `run_summary.json`, `profile.json`, and the design-cache entries —
+//! goes through [`write_envelope`] / [`read_envelope`]. Chrome traces stay plain JSON (external tools load
 //! them directly) but are still written atomically.
 
 use std::fmt;
@@ -342,26 +341,6 @@ pub fn unseal(text: &str) -> Result<&str, EnvelopeError> {
 /// A [`DurableError`] naming the failing path and stage.
 pub fn write_envelope(path: &Path, payload: &str) -> Result<(), DurableError> {
     atomic_write(path, seal(payload).as_bytes())
-}
-
-/// Seals `payload` once and lands it atomically at every target path,
-/// announcing each landed file on stdout (`wrote <path>`). This is the
-/// one way perf smokes and the profiler publish results — the `out/`
-/// copy CI gates on with jq and, when recording, the committed
-/// `BENCH_*.json` baseline — so the crash-safety story (checksummed
-/// envelope, temp-file rename, fsync) is identical everywhere.
-///
-/// # Errors
-///
-/// The first [`DurableError`] hit; later targets are not attempted.
-pub fn seal_to_path<P: AsRef<Path>>(targets: &[P], payload: &str) -> Result<(), DurableError> {
-    let sealed = seal(payload);
-    for path in targets {
-        let path = path.as_ref();
-        atomic_write(path, sealed.as_bytes())?;
-        println!("wrote {}", path.display());
-    }
-    Ok(())
 }
 
 /// Reads and validates the envelope at `path`, returning its payload.

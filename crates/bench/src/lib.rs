@@ -1,10 +1,11 @@
 //! Support library for the Stellar experiment harness.
 //!
 //! The actual experiments live in `src/bin/e*.rs` — one binary per table
-//! or figure of the paper (see `DESIGN.md` for the index) — and the
-//! Criterion benchmarks in `benches/`. This library holds the shared
-//! report-formatting helpers and the [`report`] pipeline that emits
-//! machine-readable per-experiment JSON for `run_all` to consolidate.
+//! or figure of the paper (see `DESIGN.md` for the index); speed is
+//! measured by the standalone `benchmark/` crate. This library holds the
+//! shared report-formatting helpers and the [`report`] pipeline that
+//! emits machine-readable per-experiment JSON for `run_all` to
+//! consolidate.
 
 pub mod cache;
 pub mod chaos;

@@ -1,5 +1,4 @@
-//! The profiling pass and perf-regression sentinel behind
-//! `run_all --profile` and the `stellar_prof` binary.
+//! The profiling pass behind `run_all --profile`.
 //!
 //! One profile run exercises the two performance-critical subsystems with
 //! their telemetry enabled and consolidates everything into a single
@@ -14,158 +13,48 @@
 //!   [`simulate_sparse_matmul_profiled`], aggregating
 //!   [`EngineStats`] (event counts, peak queue depth, compactions, and
 //!   the skip-ahead jump-length histogram with percentiles).
-//! * **Regression sentinel** — the same sweeps are timed against their
-//!   retained reference paths and the measured speedups compared to the
-//!   committed `BENCH_explore.json` / `BENCH_sim.json` baselines.
-//!   Speedups are machine-normalized (current fast vs current reference,
-//!   on the same machine), so the comparison is meaningful across hosts;
-//!   a drop below `baseline × (1 − tolerance)` is flagged as
-//!   [`SentinelStatus::Regressed`], a missing or unreadable baseline as
-//!   [`SentinelStatus::NoBaseline`] — never a panic.
 //!
 //! The profiled sweeps reuse the production entry points: the funnel and
 //! worker counters ride on branches those paths already take, so
 //! profiling changes no rankings and allocates nothing in the hot loops.
+//! How fast those paths run is the business of `benchmark/`, not of this
+//! pass.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 use rayon::PoolStats;
 use stellar_core::{
-    explore_dataflows_profiled, explore_dataflows_reference, Bounds, ExploreFunnel, ExploreOptions,
-    Functionality,
+    explore_dataflows_profiled, Bounds, ExploreFunnel, ExploreOptions, Functionality,
 };
-use stellar_sim::metrics::json_f64;
+use stellar_sim::metrics::{escape, json_f64};
 use stellar_sim::{
-    simulate_sparse_matmul_profiled, sparse, BalancePolicy, EngineStats, FaultInjector, FaultPlan,
-    Histogram, SparseArrayParams, Stopwatch, Tracer, Watchdog,
+    simulate_sparse_matmul_profiled, BalancePolicy, EngineStats, FaultInjector, FaultPlan,
+    Histogram, SparseArrayParams, Tracer, Watchdog,
 };
 use stellar_tensor::{gen, CsrMatrix};
 
-use crate::durable;
-
 /// The profile report schema identifier. Bump only with a corresponding
 /// update to the CI jq checks and DESIGN.md's profiling section.
-pub const PROFILE_SCHEMA: &str = "stellar-profile-v1";
+pub const PROFILE_SCHEMA: &str = "stellar-profile-v2";
 
-/// Default sentinel tolerance: a measured speedup may sit this fraction
-/// below the committed baseline before it is flagged. Generous by design —
-/// CI machines are noisy and the baselines were recorded elsewhere.
-pub const DEFAULT_TOLERANCE: f64 = 0.5;
-
-/// The committed explore baseline at the repo root.
-pub const EXPLORE_BASELINE: &str = "BENCH_explore.json";
-
-/// The committed simulation baseline at the repo root.
-pub const SIM_BASELINE: &str = "BENCH_sim.json";
-
-/// The sentinel's verdict for one tracked speedup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SentinelStatus {
-    /// Current speedup within tolerance of the baseline.
-    Ok,
-    /// Current speedup fell below `baseline × (1 − tolerance)`.
-    Regressed,
-    /// No committed baseline to compare against (missing, corrupt, or
-    /// non-positive) — informational, not a failure.
-    NoBaseline,
-}
-
-impl SentinelStatus {
-    /// The stable string the JSON schema and CI checks use.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SentinelStatus::Ok => "ok",
-            SentinelStatus::Regressed => "regressed",
-            SentinelStatus::NoBaseline => "no_baseline",
-        }
-    }
-}
-
-/// One sentinel comparison: a named speedup against its baseline.
-#[derive(Clone, Debug)]
-pub struct SentinelCheck {
-    /// Which subsystem ("explore" or "sim").
-    pub name: &'static str,
-    /// The speedup measured by this profile run.
-    pub current: f64,
-    /// The speedup recorded in the committed baseline, when readable.
-    pub baseline: Option<f64>,
-    /// The verdict.
-    pub status: SentinelStatus,
-}
-
-/// The sentinel decision rule, factored out so the doctored-baseline
-/// regression test can pin it: `current ≥ baseline × (1 − tolerance)` is
-/// ok, anything lower is regressed, and an unusable baseline (absent,
-/// non-finite, or non-positive) is `NoBaseline`.
-pub fn judge(current: f64, baseline: Option<f64>, tolerance: f64) -> SentinelStatus {
-    match baseline {
-        Some(b) if b.is_finite() && b > 0.0 => {
-            if current >= b * (1.0 - tolerance.clamp(0.0, 1.0)) {
-                SentinelStatus::Ok
-            } else {
-                SentinelStatus::Regressed
-            }
-        }
-        _ => SentinelStatus::NoBaseline,
-    }
-}
-
-/// Extracts the first `"field": <number>` value from a JSON payload.
-/// The baselines are written by our own renderers with this exact shape,
-/// so a targeted scan beats carrying a JSON parser for one number; a
-/// payload without the field (schema drift) yields `None`, which the
-/// sentinel reports as `no_baseline` rather than failing the run.
-pub fn json_number_field(payload: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = payload.find(&needle)?;
-    let rest = payload[at + needle.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads a committed baseline envelope and extracts the named speedup.
-pub fn baseline_speedup(path: &Path, field: &str) -> Option<f64> {
-    let payload = durable::read_envelope(path).ok()?;
-    json_number_field(&payload, field)
-}
-
-/// What to profile and how strict to be.
+/// What to profile.
 #[derive(Clone, Debug)]
 pub struct ProfileOptions {
     /// Worker parallelism for the explore sweep (also the worker count
     /// the profile reports). `0` uses all cores.
     pub jobs: usize,
-    /// Sentinel tolerance (fraction below baseline that still passes).
-    pub tolerance: f64,
     /// Coefficient bound for the explore sweep: `2` is the
     /// acceptance-criteria space (`5^9` candidates), `1` a fast smoke.
     pub max_coeff: i64,
-    /// Directory holding the committed `BENCH_*.json` baselines.
-    pub baseline_dir: PathBuf,
 }
 
 impl Default for ProfileOptions {
     fn default() -> ProfileOptions {
         ProfileOptions {
             jobs: 0,
-            tolerance: DEFAULT_TOLERANCE,
             max_coeff: 2,
-            baseline_dir: PathBuf::from("."),
         }
     }
-}
-
-/// One named stage timing.
-#[derive(Clone, Debug)]
-pub struct StageTiming {
-    /// Stage name (`explore_fast`, `explore_reference`, …).
-    pub name: &'static str,
-    /// Wall milliseconds the stage took.
-    pub ms: f64,
 }
 
 /// Everything one profile run measured.
@@ -173,8 +62,6 @@ pub struct StageTiming {
 pub struct ProfileReport {
     /// Worker parallelism the explore sweep ran with.
     pub jobs: usize,
-    /// Sentinel tolerance in effect.
-    pub tolerance: f64,
     /// The search funnel (partition invariants checked).
     pub funnel: ExploreFunnel,
     /// Outcome of [`ExploreFunnel::check`] — `"ok"` or the violated rule.
@@ -187,29 +74,14 @@ pub struct ProfileReport {
     pub engine: EngineStats,
     /// Sparse sweep grid points simulated.
     pub sim_points: usize,
-    /// Per-stage wall-clock timings.
-    pub stages: Vec<StageTiming>,
-    /// The sentinel comparisons (explore, sim).
-    pub sentinel: Vec<SentinelCheck>,
+    /// Every sweep or grid point that returned an error instead of a
+    /// measurement (empty on a healthy run); what it would have
+    /// contributed is missing from the counters above.
+    pub failures: Vec<String>,
 }
 
-impl ProfileReport {
-    /// The overall verdict: `Regressed` if any check regressed, else `Ok`
-    /// (checks without baselines are informational).
-    pub fn status(&self) -> SentinelStatus {
-        if self
-            .sentinel
-            .iter()
-            .any(|c| c.status == SentinelStatus::Regressed)
-        {
-            SentinelStatus::Regressed
-        } else {
-            SentinelStatus::Ok
-        }
-    }
-}
-
-/// The e04-scale sparse sweep grid (matches `sim_perf_smoke`).
+/// The e04-scale sparse sweep grid (the workloads of
+/// `engine_equivalence::e04_scale_workloads_are_byte_identical`).
 fn sim_workloads() -> Vec<CsrMatrix> {
     vec![
         gen::uniform(64, 256, 0.1, 1),
@@ -225,16 +97,12 @@ const SIM_POLICIES: [BalancePolicy; 3] = [
     BalancePolicy::Global,
 ];
 
-/// Timed repetitions for the sim speedup measurement (each sweep is well
-/// under a millisecond; repetitions stabilize the ratio).
-const SIM_TIMED_REPS: usize = 20;
-
-/// Runs the full profile pass. Infallible by construction: measurement
-/// errors surface inside the report (e.g. `no_baseline`), not as panics.
+/// Runs the full profile pass. A sweep that returns an error is listed in
+/// [`ProfileReport::failures`]; nothing here panics on one.
 pub fn run_profile(opts: &ProfileOptions) -> ProfileReport {
-    let mut stages = Vec::new();
+    let mut failures = Vec::new();
 
-    // --- Search funnel + worker telemetry, against the reference. ---
+    // --- Search funnel + worker telemetry. ---
     let func = Functionality::matmul(3, 3, 3);
     let bounds = Bounds::from_extents(&[3, 3, 3]);
     let explore_opts = ExploreOptions {
@@ -243,154 +111,69 @@ pub fn run_profile(opts: &ProfileOptions) -> ProfileReport {
         parallelism: opts.jobs,
         ..ExploreOptions::default()
     };
-    let watch = Stopwatch::start();
-    let run = explore_dataflows_profiled(&func, &bounds, &explore_opts)
-        .expect("the profile sweep is a valid search");
-    let fast_ms = watch.elapsed_ms();
-    stages.push(StageTiming {
-        name: "explore_fast",
-        ms: fast_ms,
-    });
+    let (funnel, workers, explore_results) =
+        match explore_dataflows_profiled(&func, &bounds, &explore_opts) {
+            Ok(run) => (run.funnel, run.workers, run.results.len()),
+            Err(e) => {
+                failures.push(format!("explore sweep: {e}"));
+                (ExploreFunnel::default(), PoolStats::serial(0, 0.0), 0)
+            }
+        };
 
-    let serial_opts = ExploreOptions {
-        parallelism: 1,
-        ..explore_opts
-    };
-    let watch = Stopwatch::start();
-    let oracle = explore_dataflows_reference(&func, &bounds, &serial_opts)
-        .expect("the reference sweep is a valid search");
-    let ref_ms = watch.elapsed_ms();
-    stages.push(StageTiming {
-        name: "explore_reference",
-        ms: ref_ms,
-    });
-    // The profile is only meaningful if the paths agree; this is the same
-    // equivalence CI gates on, re-checked for free.
-    assert_eq!(run.results, oracle, "fast path diverged from the oracle");
-    let explore_speedup = if fast_ms > 0.0 { ref_ms / fast_ms } else { 0.0 };
-
-    // --- Engine introspection + event-driven vs per-cycle timing. ---
-    let workloads = sim_workloads();
-    let params_for = |policy: BalancePolicy| SparseArrayParams {
-        lanes: 8,
-        row_startup_cycles: 1,
-        balance: policy,
-    };
+    // --- Engine introspection. ---
     let mut engine = EngineStats::default();
     let mut jump_cycles = Histogram::default();
     let mut sim_points = 0usize;
-    for b in &workloads {
+    for (w, b) in sim_workloads().iter().enumerate() {
         for policy in SIM_POLICIES {
+            let params = SparseArrayParams {
+                lanes: 8,
+                row_startup_cycles: 1,
+                balance: policy,
+            };
             let mut injector = FaultInjector::new(FaultPlan::none());
-            let (_, stats) = simulate_sparse_matmul_profiled(
+            match simulate_sparse_matmul_profiled(
                 b,
-                &params_for(policy),
+                &params,
                 &mut injector,
                 Watchdog::default_budget(),
                 &mut Tracer::disabled(),
-            )
-            .expect("profile sparse simulation");
-            engine.events_scheduled += stats.events_scheduled;
-            engine.events_popped += stats.events_popped;
-            engine.max_pending = engine.max_pending.max(stats.max_pending);
-            engine.compactions += stats.compactions;
-            jump_cycles.merge(&stats.jump_cycles);
-            sim_points += 1;
+            ) {
+                Ok((_, stats)) => {
+                    engine.events_scheduled += stats.events_scheduled;
+                    engine.events_popped += stats.events_popped;
+                    engine.max_pending = engine.max_pending.max(stats.max_pending);
+                    engine.compactions += stats.compactions;
+                    jump_cycles.merge(&stats.jump_cycles);
+                    sim_points += 1;
+                }
+                Err(e) => failures.push(format!("sparse sweep workload {w} {policy:?}: {e}")),
+            }
         }
     }
     engine.jump_cycles = jump_cycles;
 
-    let watch = Stopwatch::start();
-    for _ in 0..SIM_TIMED_REPS {
-        for b in &workloads {
-            for policy in SIM_POLICIES {
-                let mut injector = FaultInjector::new(FaultPlan::none());
-                stellar_sim::simulate_sparse_matmul_traced(
-                    b,
-                    &params_for(policy),
-                    &mut injector,
-                    Watchdog::default_budget(),
-                    &mut Tracer::disabled(),
-                )
-                .expect("profile sparse simulation");
-            }
-        }
-    }
-    let sim_event_ms = watch.elapsed_ms();
-    stages.push(StageTiming {
-        name: "sim_event",
-        ms: sim_event_ms,
-    });
-
-    let watch = Stopwatch::start();
-    for _ in 0..SIM_TIMED_REPS {
-        for b in &workloads {
-            for policy in SIM_POLICIES {
-                let mut injector = FaultInjector::new(FaultPlan::none());
-                sparse::reference::simulate_sparse_matmul_traced(
-                    b,
-                    &params_for(policy),
-                    &mut injector,
-                    Watchdog::default_budget(),
-                    &mut Tracer::disabled(),
-                )
-                .expect("profile sparse reference simulation");
-            }
-        }
-    }
-    let sim_ref_ms = watch.elapsed_ms();
-    stages.push(StageTiming {
-        name: "sim_reference",
-        ms: sim_ref_ms,
-    });
-    let sim_speedup = if sim_event_ms > 0.0 {
-        sim_ref_ms / sim_event_ms
-    } else {
-        0.0
-    };
-
-    // --- Sentinel. ---
-    let explore_base = baseline_speedup(&opts.baseline_dir.join(EXPLORE_BASELINE), "scan_speedup");
-    let sim_base = baseline_speedup(&opts.baseline_dir.join(SIM_BASELINE), "sparse_speedup");
-    let sentinel = vec![
-        SentinelCheck {
-            name: "explore",
-            current: explore_speedup,
-            baseline: explore_base,
-            status: judge(explore_speedup, explore_base, opts.tolerance),
-        },
-        SentinelCheck {
-            name: "sim",
-            current: sim_speedup,
-            baseline: sim_base,
-            status: judge(sim_speedup, sim_base, opts.tolerance),
-        },
-    ];
-
     ProfileReport {
-        jobs: run.workers.worker_count(),
-        tolerance: opts.tolerance,
-        funnel_check: run.funnel.check().err().unwrap_or("ok"),
-        funnel: run.funnel,
-        workers: run.workers,
-        explore_results: run.results.len(),
+        jobs: workers.worker_count(),
+        funnel_check: funnel.check().err().unwrap_or("ok"),
+        funnel,
+        workers,
+        explore_results,
         engine,
         sim_points,
-        stages,
-        sentinel,
+        failures,
     }
 }
 
-/// Renders the report as the `stellar-profile-v1` JSON payload (callers
-/// seal it into an envelope via [`durable::write_envelope`]). Every float
-/// goes through [`json_f64`], so the document never contains NaN or Inf.
+/// Renders the report as the `stellar-profile-v2` JSON payload (callers
+/// seal it into an envelope via [`crate::durable::write_envelope`]).
+/// Every float goes through [`json_f64`], so the document never contains
+/// NaN or Inf.
 pub fn render_profile_json(r: &ProfileReport) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"{PROFILE_SCHEMA}\",");
     let _ = writeln!(s, "  \"jobs\": {},", r.jobs);
-    let _ = writeln!(s, "  \"tolerance\": {},", json_f64(r.tolerance));
-    let _ = writeln!(s, "  \"status\": \"{}\",", r.status().as_str());
     let f = &r.funnel;
     let _ = writeln!(s, "  \"explore\": {{");
     let _ = writeln!(
@@ -468,58 +251,17 @@ pub fn render_profile_json(r: &ProfileReport) -> String {
     );
     let _ = writeln!(s, "    \"points\": {}", r.sim_points);
     s.push_str("  },\n");
-    s.push_str("  \"stages\": [\n");
-    for (n, st) in r.stages.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"ms\": {}}}",
-            st.name,
-            json_f64(st.ms)
-        );
-        s.push_str(if n + 1 < r.stages.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"sentinel\": [\n");
-    for (n, c) in r.sentinel.iter().enumerate() {
-        let baseline = match c.baseline {
-            Some(b) => json_f64(b),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"current\": {}, \"baseline\": {}, \"status\": \"{}\"}}",
-            c.name,
-            json_f64(c.current),
-            baseline,
-            c.status.as_str(),
-        );
-        s.push_str(if n + 1 < r.sentinel.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ]\n}");
+    let failures: Vec<String> = r
+        .failures
+        .iter()
+        .map(|f| format!("\"{}\"", escape(f)))
+        .collect();
+    let _ = write!(s, "  \"failures\": [{}]\n}}", failures.join(", "));
     s
 }
 
-/// Renders and lands the profile report as an envelope at `path` — the
-/// single publishing path shared by `run_all --profile` and
-/// `stellar_prof` (via [`durable::seal_to_path`], which also announces
-/// the written file).
-///
-/// # Errors
-///
-/// A [`durable::DurableError`] naming the failing path and stage.
-pub fn write_profile(
-    path: &std::path::Path,
-    r: &ProfileReport,
-) -> Result<(), durable::DurableError> {
-    durable::seal_to_path(&[path], &render_profile_json(r))
-}
-
 /// Prints the human-readable profile: the funnel table, worker
-/// utilization, engine gauges, and the sentinel verdicts.
+/// utilization, engine gauges, and any failures.
 pub fn print_profile(r: &ProfileReport) {
     crate::header("profile", "search & runtime telemetry");
     let f = &r.funnel;
@@ -557,137 +299,23 @@ pub fn print_profile(r: &ProfileReport) {
         "engine: {} events, peak queue {}, {} compactions, jumps {}",
         e.events_scheduled, e.max_pending, e.compactions, e.jump_cycles
     );
-    for st in &r.stages {
-        println!("stage {:<18} {:>10.1} ms", st.name, st.ms);
+    for f in &r.failures {
+        println!("FAILED {f}");
     }
-    for c in &r.sentinel {
-        let baseline = c
-            .baseline
-            .map(|b| format!("{b:.2}"))
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "sentinel {:<8} current {:.2}x baseline {} -> {}",
-            c.name,
-            c.current,
-            baseline,
-            c.status.as_str()
-        );
-    }
-    println!("profile status: {}", r.status().as_str());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d =
-            std::env::temp_dir().join(format!("stellar-profile-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    #[test]
-    fn judge_pins_the_decision_rule() {
-        // Within tolerance: 10.5 against baseline 20 at 0.5 tolerance.
-        assert_eq!(judge(10.5, Some(20.0), 0.5), SentinelStatus::Ok);
-        // Below it: regressed.
-        assert_eq!(judge(9.9, Some(20.0), 0.5), SentinelStatus::Regressed);
-        // Exactly at the edge passes.
-        assert_eq!(judge(10.0, Some(20.0), 0.5), SentinelStatus::Ok);
-        // Unusable baselines are informational, never failures.
-        assert_eq!(judge(5.0, None, 0.5), SentinelStatus::NoBaseline);
-        assert_eq!(judge(5.0, Some(0.0), 0.5), SentinelStatus::NoBaseline);
-        assert_eq!(judge(5.0, Some(f64::NAN), 0.5), SentinelStatus::NoBaseline);
-    }
-
-    #[test]
-    fn json_number_field_reads_baseline_payloads() {
-        let payload = r#"{"schema": "x", "scan_speedup": 20.59, "benches": []}"#;
-        assert_eq!(json_number_field(payload, "scan_speedup"), Some(20.59));
-        assert_eq!(json_number_field(payload, "sparse_speedup"), None);
-        assert_eq!(json_number_field("{}", "scan_speedup"), None);
-        let sci = r#"{"v":1.5e2}"#;
-        assert_eq!(json_number_field(sci, "v"), Some(150.0));
-    }
-
-    #[test]
-    fn doctored_baseline_is_reported_as_regressed() {
-        // The acceptance-criteria scenario end to end: commit absurdly
-        // fast baselines, run a (reduced) profile, and the sentinel must
-        // say "regressed" — while sane baselines in the same directory
-        // say "ok".
-        let dir = tmpdir("doctored");
-        let doctor = |explore: f64, sim: f64| {
-            durable::write_envelope(
-                &dir.join(EXPLORE_BASELINE),
-                &format!(
-                    "{{\"schema\": \"stellar-explore-perf-v1\", \"scan_speedup\": {explore}}}"
-                ),
-            )
-            .unwrap();
-            durable::write_envelope(
-                &dir.join(SIM_BASELINE),
-                &format!("{{\"schema\": \"stellar-sim-perf-v1\", \"sparse_speedup\": {sim}}}"),
-            )
-            .unwrap();
-        };
-        let opts = ProfileOptions {
-            jobs: 2,
-            max_coeff: 1, // reduced sweep: the sentinel logic is scale-free
-            baseline_dir: dir.clone(),
-            ..ProfileOptions::default()
-        };
-
-        doctor(1e9, 1e9);
-        let doctored = run_profile(&opts);
-        assert_eq!(doctored.status(), SentinelStatus::Regressed);
-        assert!(doctored
-            .sentinel
-            .iter()
-            .all(|c| c.status == SentinelStatus::Regressed));
-        let json = render_profile_json(&doctored);
-        assert!(json.contains("\"status\": \"regressed\""));
-
-        // A trivially low baseline must pass, proving the flag reflects
-        // the baseline and not the measurement.
-        doctor(1e-6, 1e-6);
-        let sane = run_profile(&opts);
-        assert_eq!(sane.status(), SentinelStatus::Ok);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_baselines_are_informational() {
-        let dir = tmpdir("missing");
-        let opts = ProfileOptions {
-            jobs: 1,
-            max_coeff: 1,
-            baseline_dir: dir.clone(),
-            ..ProfileOptions::default()
-        };
-        let r = run_profile(&opts);
-        assert!(r
-            .sentinel
-            .iter()
-            .all(|c| c.status == SentinelStatus::NoBaseline));
-        // Overall status stays ok: absence of a baseline is not a failure.
-        assert_eq!(r.status(), SentinelStatus::Ok);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    use crate::durable;
 
     #[test]
     fn profile_report_shape_is_stable() {
-        let dir = tmpdir("shape");
-        let opts = ProfileOptions {
+        let r = run_profile(&ProfileOptions {
             jobs: 2,
             max_coeff: 1,
-            baseline_dir: dir.clone(),
-            ..ProfileOptions::default()
-        };
-        let r = run_profile(&opts);
+        });
+        assert_eq!(r.failures, Vec::<String>::new());
         // The funnel covers the whole 3^9 smoke space and partitions.
         assert_eq!(r.funnel.decoded, 3u64.pow(9));
         assert_eq!(r.funnel_check, "ok");
@@ -701,7 +329,8 @@ mod tests {
         assert!(r.engine.jump_cycles.count > 0);
         let json = render_profile_json(&r);
         // Schema, and no NaN/Inf leaves anywhere.
-        assert!(json.contains("\"schema\": \"stellar-profile-v1\""));
+        assert!(json.contains("\"schema\": \"stellar-profile-v2\""));
+        assert!(json.ends_with("\"failures\": []\n}"));
         assert!(json.contains("\"analytic_scored\""));
         assert!(json.contains("\"analytic_rejected\""));
         assert!(!json.contains("NaN") && !json.contains("inf"));
@@ -710,6 +339,24 @@ mod tests {
         assert_eq!(durable::unseal(&sealed).unwrap(), json);
         // Printing must not panic.
         print_profile(&r);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_sweep_is_reported_not_panicked() {
+        // 201^9 candidates overflow the code space, so the search returns
+        // SearchSpaceTooLarge; the sparse sweep still runs.
+        let r = run_profile(&ProfileOptions {
+            jobs: 1,
+            max_coeff: 100,
+        });
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].starts_with("explore sweep: "));
+        assert_eq!(r.funnel, ExploreFunnel::default());
+        assert_eq!(r.explore_results, 0);
+        assert_eq!(r.sim_points, 12);
+        let json = render_profile_json(&r);
+        assert!(json.contains("\"failures\": [\"explore sweep: "));
+        assert!(!json.contains("NaN") && !json.contains("inf"));
+        print_profile(&r);
     }
 }

@@ -39,6 +39,42 @@ fn image(run: &ExploreRun) -> String {
         .join("\n")
 }
 
+/// However an answer is obtained — computed on a miss, served from the
+/// memory tier, or decoded from the durable tier by a reopened cache — its
+/// ranking and funnel partitions are those of the uncached search (the
+/// e20 query: `matmul` 4×4×4 at the default options).
+#[test]
+fn computed_memory_and_disk_answers_equal_the_uncached_oracle() {
+    let dir = scratch("oracle");
+    let (func, bounds, opts) = query(4, 4, 4);
+    let oracle = explore_dataflows_profiled(&func, &bounds, &opts).unwrap();
+
+    let cache = DesignCache::open(&dir).unwrap();
+    let computed = cache.explore(&func, &bounds, &opts).unwrap();
+    let memory = cache.explore(&func, &bounds, &opts).unwrap();
+    let reopened = DesignCache::open(&dir).unwrap();
+    let disk = reopened.explore(&func, &bounds, &opts).unwrap();
+    assert_eq!(computed.funnel.cache_misses, 1);
+    assert_eq!(memory.funnel.cache_hits, 1);
+    assert_eq!(disk.funnel.cache_hits, 1);
+    assert_eq!(reopened.stats().disk_hits, 1);
+
+    for (label, run) in [
+        ("computed", &computed),
+        ("memory", &memory),
+        ("disk", &disk),
+    ] {
+        assert_eq!(image(run), image(&oracle), "{label} ranking diverged");
+        // Only the cache's own counters may differ from the uncached funnel.
+        let mut partitions = run.funnel;
+        partitions.cache_hits = 0;
+        partitions.cache_misses = 0;
+        partitions.coalesced = 0;
+        assert_eq!(partitions, oracle.funnel, "{label} funnel diverged");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Every corruption of the durable entry file must fall back to a clean
 /// recompute whose ranking equals the uncached oracle — never a stale or
 /// garbled serve, never an error surfaced to the caller.

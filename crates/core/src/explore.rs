@@ -577,9 +577,9 @@ pub fn explore_dataflows_profiled(
 
 /// The pre-fast-path search, retained verbatim as the in-tree oracle: a
 /// serial scan that materializes a full [`SpatialArray`] per candidate via
-/// the hash-based [`reference`] fold. `explore_perf_smoke` and the
-/// equivalence tests hold [`explore_dataflows`] byte-identical to this;
-/// it is also what the fast path's speedup is measured against.
+/// the hash-based [`reference`] fold. The equivalence tests in
+/// `tests/explore_parallel.rs` hold [`explore_dataflows`] byte-identical
+/// to this.
 ///
 /// # Errors
 ///

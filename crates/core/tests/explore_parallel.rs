@@ -6,7 +6,8 @@
 
 use stellar_core::{
     explore_dataflows, explore_dataflows_profiled, explore_dataflows_reference,
-    explore_dataflows_reference_profiled, Bounds, ExploreOptions, ExploredDataflow, Functionality,
+    explore_dataflows_reference_profiled, Bounds, ExploreFunnel, ExploreOptions, ExploredDataflow,
+    Functionality,
 };
 
 fn sweep_opts(max_coeff: i64, parallelism: usize) -> ExploreOptions {
@@ -67,15 +68,21 @@ fn parallel_is_byte_equal_to_serial_at_max_coeff_2() {
 #[test]
 fn fast_path_is_byte_equal_to_reference_fold_at_max_coeff_1() {
     // The scorer fast path vs the retained full-fold oracle scan: same
-    // candidates, same ranking, same fields, at every parallelism.
-    let oracle = reference_sweep(1);
-    assert!(!oracle.is_empty());
-    for parallelism in [0, 1, 2, 5] {
-        assert_eq!(
-            byte_image(&sweep(1, parallelism)),
-            byte_image(&oracle),
-            "parallelism={parallelism} diverged from the reference-fold ranking"
-        );
+    // candidates, same ranking, same fields, at every parallelism — on
+    // the 3×3×3 sweep and on the 4×4×4 shape e20 searches.
+    for n in [3usize, 4] {
+        let f = Functionality::matmul(n, n, n);
+        let bounds = Bounds::from_extents(&[n, n, n]);
+        let oracle = explore_dataflows_reference(&f, &bounds, &sweep_opts(1, 1)).unwrap();
+        assert!(!oracle.is_empty());
+        for parallelism in [0, 1, 2, 5] {
+            let fast = explore_dataflows(&f, &bounds, &sweep_opts(1, parallelism)).unwrap();
+            assert_eq!(
+                byte_image(&fast),
+                byte_image(&oracle),
+                "matmul {n}^3, parallelism={parallelism} diverged from the reference-fold ranking"
+            );
+        }
     }
 }
 
@@ -137,36 +144,52 @@ fn funnel_is_deterministic_and_matches_the_oracle() {
     assert_eq!(byte_image(&oracle.results), byte_image(&serial.results));
 }
 
-#[test]
-fn analytic_tier_toggle_is_byte_invisible() {
-    // Disabling the analytical tier must not change a single byte of the
-    // ranking or of the partitioned funnel buckets — only the
-    // informational tier-attribution counters may differ.
+/// Disabling the analytical tier must not change a single byte of the
+/// ranking or of the partitioned funnel buckets — only the informational
+/// tier-attribution counters may differ. Returns the tier-on funnel.
+fn assert_analytic_tier_is_byte_invisible(max_coeff: i64) -> ExploreFunnel {
     let f = Functionality::matmul(3, 3, 3);
     let bounds = Bounds::from_extents(&[3, 3, 3]);
+    let on = explore_dataflows_profiled(&f, &bounds, &sweep_opts(max_coeff, 1)).unwrap();
+    let opts_off = ExploreOptions {
+        analytic_tier: false,
+        ..sweep_opts(max_coeff, 1)
+    };
+    let off = explore_dataflows_profiled(&f, &bounds, &opts_off).unwrap();
+    assert_eq!(
+        byte_image(&on.results),
+        byte_image(&off.results),
+        "max_coeff={max_coeff}: analytic tier changed the ranking"
+    );
+    assert!(on.funnel.analytic_scored > 0, "max_coeff={max_coeff}");
+    assert_eq!(off.funnel.analytic_scored, 0);
+    assert_eq!(off.funnel.analytic_rejected, 0);
+    let mut on_funnel = on.funnel;
+    on_funnel.analytic_scored = 0;
+    on_funnel.analytic_rejected = 0;
+    assert_eq!(
+        on_funnel, off.funnel,
+        "max_coeff={max_coeff}: analytic tier changed a partitioned bucket"
+    );
+    on.funnel
+}
+
+#[test]
+fn analytic_tier_toggle_is_byte_invisible() {
     for max_coeff in [1i64, 2] {
-        let on = explore_dataflows_profiled(&f, &bounds, &sweep_opts(max_coeff, 1)).unwrap();
-        let opts_off = ExploreOptions {
-            analytic_tier: false,
-            ..sweep_opts(max_coeff, 1)
-        };
-        let off = explore_dataflows_profiled(&f, &bounds, &opts_off).unwrap();
-        assert_eq!(
-            byte_image(&on.results),
-            byte_image(&off.results),
-            "max_coeff={max_coeff}: analytic tier changed the ranking"
-        );
-        assert!(on.funnel.analytic_scored > 0, "max_coeff={max_coeff}");
-        assert_eq!(off.funnel.analytic_scored, 0);
-        assert_eq!(off.funnel.analytic_rejected, 0);
-        let mut on_funnel = on.funnel;
-        on_funnel.analytic_scored = 0;
-        on_funnel.analytic_rejected = 0;
-        assert_eq!(
-            on_funnel, off.funnel,
-            "max_coeff={max_coeff}: analytic tier changed a partitioned bucket"
-        );
+        assert_analytic_tier_is_byte_invisible(max_coeff);
     }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "40M candidates: release builds only")]
+fn analytic_tier_toggle_is_byte_invisible_at_max_coeff_3() {
+    // The 7^9 = 40,353,607-candidate sweep, where the analytical tier
+    // carries the search: every scored candidate must go through it.
+    let funnel = assert_analytic_tier_is_byte_invisible(3);
+    funnel.check().unwrap();
+    assert_eq!(funnel.decoded, 7u64.pow(9));
+    assert_eq!(funnel.analytic_scored, funnel.scored);
 }
 
 #[test]

@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -405,8 +405,9 @@ where
     /// `Err` carries the panic payload of the **lowest-indexed** panicking
     /// chunk — deterministic regardless of thread count, steal schedule,
     /// or completion order, so a panicking input reports the same failure
-    /// every run. Once any chunk panics, workers stop claiming new chunks
-    /// (in-flight chunks finish). Alongside the results it returns
+    /// every run. Once a chunk panics, chunks above it are dropped unrun;
+    /// chunks below it still run, because one of them may panic too and
+    /// must win. Alongside the results it returns
     /// per-worker telemetry ([`PoolStats`]); the counters cost two
     /// `Instant` reads per *chunk*, noise next to the thousands of items
     /// a chunk holds.
@@ -478,7 +479,8 @@ where
             .collect();
         debug_assert_eq!(boundary, n_chunks);
         let remaining = AtomicUsize::new(n_chunks);
-        let abort = AtomicBool::new(false);
+        // Start of the lowest-indexed chunk that has panicked so far.
+        let lowest_panic = AtomicUsize::new(usize::MAX);
         let chunks: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
         let worker_stats: Mutex<Vec<(usize, WorkerStats)>> = Mutex::new(Vec::new());
         type Payload = Box<dyn std::any::Any + Send>;
@@ -492,15 +494,12 @@ where
                 let panics = &panics;
                 let deques = &deques;
                 let remaining = &remaining;
-                let abort = &abort;
+                let lowest_panic = &lowest_panic;
                 scope.spawn(move || {
                     let worker_started = Instant::now();
                     let mut stats = WorkerStats::default();
                     let mut local: Vec<(usize, Vec<R>)> = Vec::new();
                     'work: loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
                         // Owner path: LIFO pop from the bottom of our own
                         // deque.
                         let mut job = deques[w].lock().ok().and_then(|mut dq| dq.pop_back());
@@ -538,6 +537,10 @@ where
                             std::thread::yield_now();
                             continue;
                         };
+                        if start > lowest_panic.load(Ordering::Relaxed) {
+                            remaining.fetch_sub(1, Ordering::Release);
+                            continue;
+                        }
                         let chunk_started = Instant::now();
                         match catch_unwind(AssertUnwindSafe(|| {
                             let mut out = Vec::with_capacity(end - start);
@@ -555,11 +558,11 @@ where
                                 remaining.fetch_sub(1, Ordering::Release);
                             }
                             Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
+                                lowest_panic.fetch_min(start, Ordering::Relaxed);
                                 if let Ok(mut p) = panics.lock() {
                                     p.push((start, payload));
                                 }
-                                break;
+                                remaining.fetch_sub(1, Ordering::Release);
                             }
                         }
                     }
