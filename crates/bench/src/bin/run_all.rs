@@ -55,8 +55,7 @@ usage: run_all [options]
       --cache        serve dataflow searches from the content-addressed
                      design cache under out/cache (STELLAR_CACHE_DIR for
                      every child); identical queries hit instead of
-                     recomputing
-      --no-cache     force every search to compute (the default)
+                     recomputing (off unless given)
       --exe-dir DIR  directory holding the experiment binaries
       --chaos SPEC   deterministic fault injection, e.g.
                      seed=7,kill=0.3,hang=0.1,corrupt=0.2,first=1
@@ -129,7 +128,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--only" => opts.experiments = harness::select_experiments(&take(a)?)?,
             "--cache" => cache = true,
-            "--no-cache" => cache = false,
             "--help" | "-h" => return Err(USAGE.into()),
             other => {
                 if let Some(v) = other.strip_prefix("--jobs=") {

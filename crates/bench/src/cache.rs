@@ -184,7 +184,7 @@ impl DesignCache {
         let state = dir.join(STATE_FILE);
         let nonce = match durable::read_envelope(&state).ok().and_then(|p| {
             if p.starts_with(&format!("{{\"schema\":\"{STATE_SCHEMA}\"")) {
-                state_nonce(&p)
+                nonce_of(&p)
             } else {
                 None
             }
@@ -530,15 +530,6 @@ fn render_state(nonce: &str) -> String {
     )
 }
 
-/// Extracts `"nonce":"…"` from a state payload (the same targeted
-/// extraction the run manifest uses).
-fn state_nonce(payload: &str) -> Option<String> {
-    let start = payload.find("\"nonce\":\"")? + "\"nonce\":\"".len();
-    let rest = &payload[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
 // ---------------------------------------------------------------------
 // The line-oriented serve protocol (`stellar_serve`).
 // ---------------------------------------------------------------------
@@ -717,12 +708,16 @@ struct LineFields<'a> {
     keep: Option<usize>,
 }
 
-/// The one reader of the serve protocol: a single pass over the top-level
-/// members of `line`, filling `f` as it goes (so on an error `f` holds
-/// what preceded it). Every other member is checked for shape and skipped.
-fn read_members<'a>(line: &'a str, f: &mut LineFields<'a>) -> Result<(), String> {
+/// The one reader of top-level members: a single pass over the JSON object
+/// in `text`, handing each member's decoded key and raw value to `member`.
+/// Every value is checked for shape; a duplicate key, or anything but
+/// whitespace around the object, is an error.
+fn top_level_members<'a>(
+    text: &'a str,
+    mut member: impl FnMut(&str, &'a str) -> Result<(), String>,
+) -> Result<(), String> {
     let mut c = Cursor {
-        text: line.trim(),
+        text: text.trim(),
         pos: 0,
     };
     if !c.eat(b'{') {
@@ -734,11 +729,25 @@ fn read_members<'a>(line: &'a str, f: &mut LineFields<'a>) -> Result<(), String>
         if seen.contains(&key) {
             return Err(format!("duplicate member {key:?}"));
         }
-        let raw = c.value(0)?;
+        member(&key, c.value(0)?)?;
+        seen.push(key);
+        Ok(())
+    })?;
+    if c.pos != c.text.len() {
+        return Err(format!("bytes after the request object at byte {}", c.pos));
+    }
+    Ok(())
+}
+
+/// Reads one serve-protocol line into `f`, member by member (so on an
+/// error `f` holds what preceded it). Members the service does not know
+/// are skipped.
+fn read_members<'a>(line: &'a str, f: &mut LineFields<'a>) -> Result<(), String> {
+    top_level_members(line, |key, raw| {
         let not = |what: &str| format!("{key:?} must be {what}");
         let text = || unescape(raw).ok_or_else(|| not("a string"));
         let count = || raw.parse().map_err(|_| not("a non-negative integer"));
-        match key.as_ref() {
+        match key {
             "cmd" => f.cmd = Some(text()?),
             "id" => f.id = Some(text()?),
             "spec" => f.spec = Some(text()?),
@@ -755,13 +764,26 @@ fn read_members<'a>(line: &'a str, f: &mut LineFields<'a>) -> Result<(), String>
             "keep" => f.keep = Some(count()?),
             _ => {}
         }
-        seen.push(key);
         Ok(())
-    })?;
-    if c.pos != c.text.len() {
-        return Err(format!("bytes after the request object at byte {}", c.pos));
-    }
-    Ok(())
+    })
+}
+
+/// The decoded top-level `"nonce"` member of a JSON object — the one way
+/// reports, the run manifest and the cache state are asked which run or
+/// generation stamped them. Writers escape the nonce, so a comparison
+/// must decode it; a nested or quoted look-alike is a value to skip.
+/// `None` when `payload` is not one well-formed object or has no string
+/// `nonce` (reports outside a run stamp `null`).
+pub(crate) fn nonce_of(payload: &str) -> Option<String> {
+    let mut nonce = None;
+    top_level_members(payload, |key, raw| {
+        if key == "nonce" {
+            nonce = unescape(raw).map(Cow::into_owned);
+        }
+        Ok(())
+    })
+    .ok()?;
+    nonce
 }
 
 /// Nesting allowed inside a skipped member; deeper input is rejected so
@@ -1082,6 +1104,28 @@ mod tests {
             parse_serve_line(&deep(MAX_SKIP_DEPTH)),
             Ok(ServeCommand::Stats)
         );
+    }
+
+    #[test]
+    fn nonce_of_reads_the_decoded_top_level_member() {
+        let weird = "a\"b\\c";
+        let stamped = format!(
+            r#"{{"id":"e01","meta":{{"nonce":"decoy"}},"note":"\"nonce\":\"x\"","nonce":"{}","metrics":[1.5e-3,null]}}"#,
+            escape(weird)
+        );
+        assert_eq!(nonce_of(&stamped).as_deref(), Some(weird));
+        assert_eq!(nonce_of(&render_state(weird)).as_deref(), Some(weird));
+        for unstamped in [
+            r#"{"nonce":null}"#,
+            r#"{"id":"e01"}"#,
+            r#"{"nonce":"n"} x"#,
+            r#"{"nonce":"n""#,
+            r#"{"nonce":"n\q"}"#,
+            "[]",
+            "",
+        ] {
+            assert_eq!(nonce_of(unstamped), None, "{unstamped}");
+        }
     }
 
     #[test]

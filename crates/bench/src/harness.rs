@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use crate::cache::nonce_of;
 use crate::chaos::{ChaosInjector, ChaosPlan, Fate};
 use crate::durable;
 use crate::report::{CACHE_DIR_ENV, FIXED_WALL_ENV, OUT_DIR_ENV, RUN_NONCE_ENV, TRACE_ENV};
@@ -347,13 +348,6 @@ fn render_manifest(nonce: &str, trace: bool, experiments: &[&str]) -> String {
     json
 }
 
-/// Extracts `"nonce":"…"` from a manifest payload.
-fn manifest_nonce(payload: &str) -> Option<String> {
-    let start = payload.find("\"nonce\":\"")? + "\"nonce\":\"".len();
-    let end = payload[start..].find('"')?;
-    Some(payload[start..start + end].to_string())
-}
-
 /// Validates one experiment report against the run nonce: the file must
 /// be a checksum-valid envelope whose payload stamps exactly this nonce.
 ///
@@ -363,7 +357,7 @@ fn manifest_nonce(payload: &str) -> Option<String> {
 pub fn validate_report(out_dir: &Path, name: &str, nonce: &str) -> Result<(), String> {
     let path = report_path(out_dir, name);
     let payload = durable::read_envelope(&path).map_err(|e| e.to_string())?;
-    if !payload.contains(&format!("\"nonce\":\"{nonce}\"")) {
+    if nonce_of(&payload).as_deref() != Some(nonce) {
         return Err(format!(
             "{}: stale report (nonce does not match this run)",
             path.display()
@@ -396,7 +390,7 @@ pub fn prepare_run(
     let manifest_path = out_dir.join(MANIFEST_FILE);
     if resume {
         match durable::read_envelope(&manifest_path) {
-            Ok(payload) => match manifest_nonce(&payload) {
+            Ok(payload) => match nonce_of(&payload) {
                 Some(nonce) if payload == render_manifest(&nonce, trace, experiments) => {
                     let resumed = experiments
                         .iter()
@@ -759,7 +753,7 @@ fn read_report(path: &Path, nonce: Option<&str>) -> ReportRead {
         t.to_string()
     };
     if let Some(n) = nonce {
-        if !trimmed.contains(&format!("\"nonce\":\"{n}\"")) {
+        if nonce_of(&trimmed).as_deref() != Some(n) {
             eprintln!(
                 "warning: STALE report {} (nonce does not match this run) — the experiment \
                  likely crashed before writing; skipped",
@@ -1090,7 +1084,7 @@ mod tests {
     #[test]
     fn manifest_roundtrip_and_nonce_extraction() {
         let payload = render_manifest("abc-123", true, &["e01_dataflows", "e02_pipelining"]);
-        assert_eq!(manifest_nonce(&payload).as_deref(), Some("abc-123"));
+        assert_eq!(nonce_of(&payload).as_deref(), Some("abc-123"));
         assert!(payload.contains("\"trace\":true"));
         assert!(payload.contains("\"e02_pipelining\""));
     }

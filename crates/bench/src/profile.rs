@@ -174,32 +174,14 @@ pub fn render_profile_json(r: &ProfileReport) -> String {
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"{PROFILE_SCHEMA}\",");
     let _ = writeln!(s, "  \"jobs\": {},", r.jobs);
-    let f = &r.funnel;
     let _ = writeln!(s, "  \"explore\": {{");
-    let _ = writeln!(
-        s,
-        "    \"funnel\": {{\"decoded\": {}, \"causality_rejected\": {}, \"singular\": {}, \
-         \"pack_fallback\": {}, \"analytic_scored\": {}, \"analytic_rejected\": {}, \
-         \"collision_rejected\": {}, \"scored\": {}, \
-         \"over_max_pes\": {}, \"dedup_collisions\": {}, \"survivors\": {}, \
-         \"materialized\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-         \"coalesced\": {}}},",
-        f.decoded,
-        f.causality_rejected,
-        f.singular,
-        f.pack_fallback,
-        f.analytic_scored,
-        f.analytic_rejected,
-        f.collision_rejected,
-        f.scored,
-        f.over_max_pes,
-        f.dedup_collisions,
-        f.survivors,
-        f.materialized,
-        f.cache_hits,
-        f.cache_misses,
-        f.coalesced,
-    );
+    let funnel: Vec<String> = r
+        .funnel
+        .fields()
+        .iter()
+        .map(|(name, v)| format!("\"{name}\": {v}"))
+        .collect();
+    let _ = writeln!(s, "    \"funnel\": {{{}}},", funnel.join(", "));
     let _ = writeln!(s, "    \"funnel_check\": \"{}\",", r.funnel_check);
     let _ = writeln!(
         s,
@@ -265,26 +247,22 @@ pub fn render_profile_json(r: &ProfileReport) -> String {
 pub fn print_profile(r: &ProfileReport) {
     crate::header("profile", "search & runtime telemetry");
     let f = &r.funnel;
-    crate::table(
-        &["stage", "candidates"],
-        &[
-            vec!["decoded".into(), f.decoded.to_string()],
-            vec![
-                "causality_rejected".into(),
-                f.causality_rejected.to_string(),
-            ],
-            vec!["singular".into(), f.singular.to_string()],
-            vec![
-                "collision_rejected".into(),
-                f.collision_rejected.to_string(),
-            ],
-            vec!["scored".into(), f.scored.to_string()],
-            vec!["over_max_pes".into(), f.over_max_pes.to_string()],
-            vec!["dedup_collisions".into(), f.dedup_collisions.to_string()],
-            vec!["survivors".into(), f.survivors.to_string()],
-            vec!["materialized".into(), f.materialized.to_string()],
-        ],
-    );
+    // The partition buckets; the tier attributions go on the line below
+    // the table and the cache counters stay in the JSON.
+    let informational = |name: &str| {
+        name.starts_with("analytic_")
+            || matches!(
+                name,
+                "pack_fallback" | "cache_hits" | "cache_misses" | "coalesced"
+            )
+    };
+    let stages: Vec<Vec<String>> = f
+        .fields()
+        .iter()
+        .filter(|(name, _)| !informational(name))
+        .map(|(name, v)| vec![name.to_string(), v.to_string()])
+        .collect();
+    crate::table(&["stage", "candidates"], &stages);
     println!(
         "funnel check: {} (pack fallbacks: {}, analytic scored: {}, analytic rejected: {})",
         r.funnel_check, f.pack_fallback, f.analytic_scored, f.analytic_rejected

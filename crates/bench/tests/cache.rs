@@ -8,7 +8,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use stellar_bench::cache::{DesignCache, DesignQuery};
+use stellar_bench::cache::{DesignCache, DesignQuery, STATE_FILE};
 use stellar_bench::durable;
 use stellar_core::cache::QueryKey;
 use stellar_core::prelude::*;
@@ -213,6 +213,24 @@ fn nonce_bump_invalidates_resident_and_durable_entries() {
 /// runs (one miss), everyone else either coalesces onto the in-flight
 /// computation or hits the published entry, and all answers are
 /// byte-identical.
+/// The state file stores the generation nonce escaped; reopening must
+/// adopt the nonce it decodes to, not the bytes up to the first quote —
+/// and, having understood the file, must leave it alone.
+#[test]
+fn reopening_adopts_a_generation_nonce_that_needs_escaping() {
+    let dir = scratch("escaped-nonce");
+    fs::create_dir_all(&dir).unwrap();
+    let state = dir.join(STATE_FILE);
+    let payload = r#"{"schema":"stellar-cache-state-v1","nonce":"a\"b\\c"}"#;
+    durable::write_envelope(&state, payload).unwrap();
+    for _ in 0..2 {
+        let cache = DesignCache::open(&dir).unwrap();
+        assert_eq!(cache.nonce(), "a\"b\\c");
+        assert_eq!(durable::read_envelope(&state).unwrap(), payload);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn identical_concurrent_queries_single_flight() {
     const THREADS: usize = 8;

@@ -2,7 +2,8 @@
 //! SIGKILL mid-suite + `--resume` must reproduce an uninterrupted run's
 //! consolidated `metrics.json` byte for byte, and SIGINT must drain
 //! gracefully with exit code 130 and a partial report marked
-//! `interrupted`.
+//! `interrupted`; and a run nonce that needs JSON escaping must be
+//! recognised by every staleness check, fresh and resumed.
 //!
 //! The experiments are `#!/bin/sh` stubs (staged via `--exe-dir` and
 //! selected via `--only`) with absolute paths baked in, so nothing here
@@ -218,6 +219,75 @@ fn sigint_drains_gracefully_with_partial_metrics() {
     let metrics = durable::read_envelope(&out.join("metrics.json")).unwrap();
     assert!(metrics.contains("\"interrupted\":false"));
     assert!(metrics.contains("\"consolidated\":3"));
+
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// The run nonce is stamped escaped into every report and into the
+/// manifest; the staleness checks must compare what it decodes to. With a
+/// nonce holding `"` and `\`, the real experiment binaries (so the real
+/// report writer) must be consolidated by a fresh run, and a `--resume`
+/// must recover the nonce from the manifest and accept the report that
+/// carries it.
+#[test]
+fn a_nonce_that_needs_escaping_survives_a_fresh_run_and_a_resume() {
+    const NONCE: &str = "a\"b\\c";
+    let base = scratch("nonce");
+    let out = base.join("out");
+    let exe = base.join("exe");
+    fs::create_dir_all(&exe).unwrap();
+    let go = base.join("go");
+    std::os::unix::fs::symlink(
+        env!("CARGO_BIN_EXE_e01_dataflows"),
+        exe.join("e01_dataflows"),
+    )
+    .unwrap();
+    // e02 fails until `go` exists, then is the real experiment too.
+    stub(
+        &exe,
+        "e02_pipelining",
+        &format!(
+            "[ -f {} ] || exit 1\nexec {}",
+            go.display(),
+            env!("CARGO_BIN_EXE_e02_pipelining")
+        ),
+    );
+    let run = |only: &str, extra: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
+        cmd.args(["--only", only, "--exe-dir", &exe.display().to_string()]);
+        cmd.args(["--fixed-wall-ms", "0", "--retries", "0"]);
+        cmd.args(extra);
+        cmd.env("STELLAR_OUT_DIR", &out);
+        cmd.stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null());
+        cmd.status().unwrap()
+    };
+
+    // Fresh run of one experiment: consolidated, not quarantined as stale.
+    assert!(run("e01", &["--nonce", NONCE]).success());
+    let metrics = durable::read_envelope(&out.join("metrics.json")).unwrap();
+    assert!(metrics.contains("\"consolidated\":1"), "{metrics}");
+    assert!(metrics.contains("\"stale\":0"), "{metrics}");
+    assert!(
+        metrics.contains("\"e01_dataflows\":\"ok\""),
+        "e01 was not accepted: {metrics}"
+    );
+    assert!(metrics.contains(r#""nonce":"a\"b\\c""#), "{metrics}");
+
+    // A run that e02 fails keeps its manifest; the resume recovers the
+    // nonce from it, skips e01 on its validated report, and finishes e02.
+    assert!(!run("e01,e02", &["--nonce", NONCE]).success());
+    assert!(out.join("run_state.json").exists());
+    fs::write(&go, "go").unwrap();
+    assert!(run("e01,e02", &["--resume"]).success());
+    let summary = durable::read_envelope(&out.join("run_summary.json")).unwrap();
+    assert!(summary.contains("\"resumed\":1"), "{summary}");
+    assert!(summary.contains("\"launched\":1"), "{summary}");
+    assert!(summary.contains(r#""nonce":"a\"b\\c""#), "{summary}");
+    let metrics = durable::read_envelope(&out.join("metrics.json")).unwrap();
+    assert!(metrics.contains("\"consolidated\":2"), "{metrics}");
+    assert!(metrics.contains("\"stale\":0"), "{metrics}");
 
     let _ = fs::remove_dir_all(&base);
 }

@@ -128,9 +128,16 @@ fn hostile_lines_get_error_or_query_answers_and_the_service_stays_up() {
         binary.contains("\"id\":\"b2\",\"error\":") && binary.contains("UTF-8"),
         "{binary}"
     );
+    // A coefficient bound whose list alone would be 16 TB is the search's
+    // own error, sealed like any other, not an allocation abort.
+    let huge = ask(br#"{"id":"h3","spec":"matmul","bounds":[2,2,2],"max_coeff":1000000000000}"#);
+    assert!(
+        huge.contains("\"id\":\"h3\",\"error\":") && huge.contains("2000000000001^9"),
+        "{huge}"
+    );
     // The process is still there and still holds what the first line cached.
-    let normal = ask(br#"{"id":"q3","spec":"matmul","bounds":[3,3,3]}"#);
-    assert!(normal.contains("\"id\":\"q3\",\"cached\":true"), "{normal}");
+    let normal = ask(br#"{"id":"q4","spec":"matmul","bounds":[3,3,3]}"#);
+    assert!(normal.contains("\"id\":\"q4\",\"cached\":true"), "{normal}");
     assert!(
         child.try_wait().expect("poll the child").is_none(),
         "stellar_serve exited"

@@ -13,7 +13,8 @@
 //!   per-point collision scan is needed.
 //! * The spatial rows `S` (the first `rank − 1` rows) have a rank-1
 //!   integer kernel spanned by a primitive vector `v` (the cofactor
-//!   "cross product" along the time row, divided by its gcd):
+//!   "cross product" along the time row — `rank` minors through the one
+//!   determinant, [`stellar_linalg::bareiss_det`] — divided by its gcd):
 //!   `S·x = S·y ⇔ x − y ∈ Z·v`. Two points share a PE exactly when they
 //!   lie on the same `v`-line, and an axis-aligned box is `v`-convex, so
 //!   **the number of PEs is the number of `v`-lines meeting the box**:
@@ -46,6 +47,8 @@
 //!
 //! [`IterationSpace::elaborate`]: crate::iterspace::IterationSpace::elaborate
 //! [`CompileError::AnalyticDivergence`]: crate::error::CompileError::AnalyticDivergence
+
+use stellar_linalg::bareiss_det;
 
 use crate::fold::StructureSummary;
 use crate::func::Functionality;
@@ -117,6 +120,13 @@ fn lines(extents: &[i64], v: &[i64]) -> Option<usize> {
     usize::try_from(all - interior).ok()
 }
 
+/// Points in a box with the given (non-negative) extents. `None` on overflow.
+fn volume(extents: &[i64]) -> Option<usize> {
+    extents
+        .iter()
+        .try_fold(1usize, |a, &e| a.checked_mul(e as usize))
+}
+
 /// Checked dot product of two `i64` slices.
 fn dot(a: &[i64], b: &[i64]) -> Option<i64> {
     let mut acc = 0i64;
@@ -124,43 +134,6 @@ fn dot(a: &[i64], b: &[i64]) -> Option<i64> {
         acc = acc.checked_add(x.checked_mul(y)?)?;
     }
     Some(acc)
-}
-
-/// Exact Bareiss determinant on `i128` intermediates, `None` if the
-/// result leaves `i64`. Callers pre-bound the entries so intermediates
-/// (determinants of sub-minors) stay within `i64` and products of two of
-/// them within `i128`.
-fn det_exact(rows: &[i64], n: usize, buf: &mut [i128]) -> Option<i64> {
-    if n == 0 {
-        return Some(1);
-    }
-    for (b, &x) in buf.iter_mut().zip(rows) {
-        *b = x as i128;
-    }
-    let m = buf;
-    let mut sign = 1i128;
-    let mut prev = 1i128;
-    for k in 0..n - 1 {
-        if m[k * n + k] == 0 {
-            match (k + 1..n).find(|&r| m[r * n + k] != 0) {
-                Some(r) => {
-                    for c in 0..n {
-                        m.swap(k * n + c, r * n + c);
-                    }
-                    sign = -sign;
-                }
-                None => return Some(0),
-            }
-        }
-        for i in k + 1..n {
-            for j in k + 1..n {
-                m[i * n + j] = (m[i * n + j] * m[k * n + k] - m[i * n + k] * m[k * n + j]) / prev;
-            }
-            m[i * n + k] = 0;
-        }
-        prev = m[k * n + k];
-    }
-    i64::try_from(sign * m[n * n - 1]).ok()
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
@@ -266,11 +239,7 @@ impl AnalyticScorer {
         for (g, dsts) in conn_groups.iter().zip(&group_dsts) {
             // Every destination must lie in the shifted sub-box, and the
             // distinct count must fill it — together: set equality.
-            let volume: usize = g
-                .src_extents
-                .iter()
-                .map(|&m| m as usize)
-                .try_fold(1usize, |a, m| a.checked_mul(m))?;
+            let volume = volume(&g.src_extents)?;
             let mut count = 0usize;
             for (pos, &hit) in dsts.iter().enumerate() {
                 if !hit {
@@ -328,11 +297,7 @@ impl AnalyticScorer {
                 continue;
             }
             let extents: Vec<i64> = (0..rank).map(|d| bmax[d] - bmin[d] + 1).collect();
-            let volume: usize = extents
-                .iter()
-                .map(|&e| e as usize)
-                .try_fold(1usize, |a, e| a.checked_mul(e))?;
-            if count != volume {
+            if count != volume(&extents)? {
                 return None;
             }
             io_groups.push(IoGroup { extents });
@@ -370,8 +335,9 @@ impl AnalyticScorer {
         debug_assert_eq!(rows.len(), r * r);
 
         // The kernel vector of the spatial rows: v_i = det(minor_i),
-        // where minor_i drops column i. Bound the entries so the Bareiss
-        // intermediates provably fit: (r−1)! · b^(r−1) ≤ i64::MAX.
+        // where minor_i drops column i. Bound the entries so every
+        // sub-minor provably fits `i64` — the condition under which
+        // `bareiss_det` is exact: (r−1)! · b^(r−1) ≤ i64::MAX.
         let n = r - 1;
         let b = rows[..n * r].iter().map(|e| e.abs()).max().unwrap_or(0);
         let mut bound = 1i128;
@@ -396,7 +362,7 @@ impl AnalyticScorer {
                         }
                     }
                 }
-                scratch.v[col] = det_exact(&scratch.minor, n, &mut scratch.det)?;
+                scratch.v[col] = bareiss_det(&scratch.minor, n, &mut scratch.det)?;
             }
         }
         let g = scratch
@@ -494,15 +460,6 @@ mod tests {
         (f, is)
     }
 
-    fn flat_rows(t: &SpaceTimeTransform) -> Vec<i64> {
-        let m = t.matrix();
-        let mut rows = Vec::new();
-        for r in 0..m.rows() {
-            rows.extend_from_slice(m.row(r));
-        }
-        rows
-    }
-
     #[test]
     fn analytic_applies_to_elaborated_matmul() {
         let (f, is) = matmul_space(4);
@@ -527,7 +484,7 @@ mod tests {
                 .with_time_scale(2)
                 .unwrap(),
         ] {
-            let rows = flat_rows(&t);
+            let rows = t.flat_rows();
             let got = a.score_rows(&rows, &mut ascratch).expect("scorable");
             let want = fold
                 .score_rows(&rows, &mut fscratch)
@@ -545,7 +502,7 @@ mod tests {
         let t = SpaceTimeTransform::output_stationary()
             .with_time_row(&[1, 1, -1])
             .unwrap();
-        assert_eq!(a.score_rows(&flat_rows(&t), &mut s), None);
+        assert_eq!(a.score_rows(&t.flat_rows(), &mut s), None);
     }
 
     #[test]
@@ -566,7 +523,7 @@ mod tests {
         let a = AnalyticScorer::try_new(&is, &f).unwrap();
         let mut s = AnalyticScratch::for_scorer(&a);
         let t = SpaceTimeTransform::output_stationary();
-        let summary = a.score_rows(&flat_rows(&t), &mut s).unwrap();
+        let summary = a.score_rows(&t.flat_rows(), &mut s).unwrap();
         let u = a.utilization_bound(&summary);
         let want = 64.0 / (summary.num_pes as f64 * summary.time_steps as f64);
         assert!((u - want).abs() < 1e-12, "got {u}, want {want}");

@@ -333,7 +333,7 @@ pub fn render_cache_entry(
         key.canon()
     );
     s.push_str("\"funnel\":{");
-    for (n, (name, v)) in funnel_fields(funnel).iter().enumerate() {
+    for (n, (name, v)) in funnel.fields()[..PERSISTED_FIELDS].iter().enumerate() {
         if n > 0 {
             s.push(',');
         }
@@ -367,24 +367,10 @@ pub fn render_cache_entry(
     s
 }
 
-/// The persisted funnel fields, in on-disk order. The cache counters are
-/// excluded: they describe the *serving* call, not the cached search.
-fn funnel_fields(f: &ExploreFunnel) -> [(&'static str, u64); 12] {
-    [
-        ("decoded", f.decoded),
-        ("causality_rejected", f.causality_rejected),
-        ("singular", f.singular),
-        ("pack_fallback", f.pack_fallback),
-        ("analytic_scored", f.analytic_scored),
-        ("analytic_rejected", f.analytic_rejected),
-        ("collision_rejected", f.collision_rejected),
-        ("scored", f.scored),
-        ("over_max_pes", f.over_max_pes),
-        ("dedup_collisions", f.dedup_collisions),
-        ("survivors", f.survivors),
-        ("materialized", f.materialized),
-    ]
-}
+/// How many leading [`ExploreFunnel::fields`] an entry persists, in that
+/// order. The cache counters after them are excluded: they describe the
+/// *serving* call, not the cached search.
+const PERSISTED_FIELDS: usize = 12;
 
 /// A strict cursor over the exact grammar [`render_cache_entry`] emits.
 /// Anything else — truncation, a flipped byte, a foreign writer — is a
@@ -466,32 +452,17 @@ pub fn parse_cache_entry(payload: &str) -> Result<CacheEntry, CacheEntryError> {
     let canon = c.string()?.to_string();
     c.eat(",\"funnel\":{")?;
     let mut funnel = ExploreFunnel::default();
-    {
-        let slots: [(&str, &mut u64); 12] = [
-            ("decoded", &mut funnel.decoded),
-            ("causality_rejected", &mut funnel.causality_rejected),
-            ("singular", &mut funnel.singular),
-            ("pack_fallback", &mut funnel.pack_fallback),
-            ("analytic_scored", &mut funnel.analytic_scored),
-            ("analytic_rejected", &mut funnel.analytic_rejected),
-            ("collision_rejected", &mut funnel.collision_rejected),
-            ("scored", &mut funnel.scored),
-            ("over_max_pes", &mut funnel.over_max_pes),
-            ("dedup_collisions", &mut funnel.dedup_collisions),
-            ("survivors", &mut funnel.survivors),
-            ("materialized", &mut funnel.materialized),
-        ];
-        for (n, (name, slot)) in slots.into_iter().enumerate() {
-            if n > 0 {
-                c.eat(",")?;
-            }
-            c.eat("\"")?;
-            if c.string()? != name {
-                return Err(CacheEntryError::Malformed("funnel field out of order"));
-            }
-            c.eat(":")?;
-            *slot = c.uint()?;
+    let slots = funnel.fields_mut();
+    for (n, (name, slot)) in slots.into_iter().take(PERSISTED_FIELDS).enumerate() {
+        if n > 0 {
+            c.eat(",")?;
         }
+        c.eat("\"")?;
+        if c.string()? != name {
+            return Err(CacheEntryError::Malformed("funnel field out of order"));
+        }
+        c.eat(":")?;
+        *slot = c.uint()?;
     }
     c.eat("},\"results\":[")?;
     let mut results = Vec::new();
@@ -644,6 +615,44 @@ mod tests {
         // Re-serialization is key- and byte-stable.
         let payload2 = render_cache_entry(&key, "abc123", &entry.results, &entry.funnel);
         assert_eq!(payload, payload2);
+    }
+
+    /// The e20 query's entry exactly as the commit before the funnel field
+    /// table wrote it to `out/cache/`. The on-disk format — member order,
+    /// the twelve funnel fields and their order — is a compatibility
+    /// surface: entries written then must parse and re-render to the same
+    /// bytes now.
+    const E20_ENTRY_V1: &str = concat!(
+        r##"{"schema":"stellar-design-cache-v1","nonce":"18da331689991fd4-266b","key":"459d47d53790ebf70a7dc0173b24da5e","##,
+        r##""canon":"stellar-design-cache-v1|spec{r3;T[I:0,2|I:2,1|O:0,1];v3;A[v0@(i0,L1,i2)=T0(i0,i2)|v1@(L0,i1,i2)=T1(i2,i1)|v2@(i0,i1,L2)=c0000000000000000|v0@(i0,i1,i2)=v0(i0,i1-1,i2)|v1@(i0,i1,i2)=v1(i0-1,i1,i2)|v2@(i0,i1,i2)=(v2(i0,i1,i2-1)+(v0(i0,i1-1,i2)*v1(i0-1,i1,i2)))];O[T2@(i0,i1)=v2(i0,i1,U2)]}|b[(0,4),(0,4),(0,4)]|opts{mc=1;mp=4096;k=16}","##,
+        r##""funnel":{"decoded":19683,"causality_rejected":18954,"singular":273,"pack_fallback":0,"analytic_scored":456,"analytic_rejected":0,"collision_rejected":0,"scored":456,"over_max_pes":0,"dedup_collisions":452,"survivors":4,"materialized":4},"##,
+        r##""results":["##,
+        r##"{"rank":3,"rows":[0,0,-1,0,-1,-1,1,1,1],"num_pes":16,"moving_conns":24,"stationary_conns":16,"io_ports":24,"time_steps":10},"##,
+        r##"{"rank":3,"rows":[0,0,-1,1,-1,-1,1,1,1],"num_pes":28,"moving_conns":69,"stationary_conns":0,"io_ports":39,"time_steps":10},"##,
+        r##"{"rank":3,"rows":[-1,0,-1,0,-1,-1,1,1,1],"num_pes":37,"moving_conns":90,"stationary_conns":0,"io_ports":48,"time_steps":10},"##,
+        r##"{"rank":3,"rows":[-1,1,-1,0,-1,-1,1,1,1],"num_pes":46,"moving_conns":111,"stationary_conns":0,"io_ports":48,"time_steps":10}"##,
+        r##"]}"##
+    );
+
+    #[test]
+    fn an_entry_written_before_the_field_table_round_trips_byte_identically() {
+        let (f, b, o) = e20_query();
+        let key = QueryKey::of(&f, &b, &o);
+        let entry = parse_cache_entry(E20_ENTRY_V1).unwrap();
+        assert!(entry.matches(&key), "the e20 key itself must not move");
+        assert_eq!(entry.funnel.decoded, 19683);
+        assert_eq!(entry.funnel.materialized, 4);
+        assert_eq!(entry.funnel.cache_hits, 0);
+        assert_eq!(
+            render_cache_entry(&key, &entry.nonce, &entry.results, &entry.funnel),
+            E20_ENTRY_V1
+        );
+        // And it is what the search computes today.
+        let run = explore_dataflows_profiled(&f, &b, &o).unwrap();
+        assert_eq!(
+            render_cache_entry(&key, &entry.nonce, &run.results, &run.funnel),
+            E20_ENTRY_V1
+        );
     }
 
     #[test]

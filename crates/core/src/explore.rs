@@ -30,19 +30,27 @@
 //!    transform matrix alone in O(rank³), no lattice fold at all. Every
 //!    ranked survivor is re-folded afterwards as an oracle backstop
 //!    ([`CompileError::AnalyticDivergence`] if the tiers ever disagree).
-//! 3. **Allocation-free fold** ([`FoldScorer`], see [`crate::fold`]) —
-//!    candidates the analytical tier declines (overflow, causality error
-//!    attribution, non-box geometry) fold through packed-`u64` scratch
-//!    tables — no [`SpatialArray`], no `Vec<i64>` hashing, and no
-//!    rational matrix inverse until a candidate actually survives
-//!    structural deduplication.
+//! 3. **Allocation-free fold** ([`FoldScorer`]) — candidates the
+//!    analytical tier declines (overflow, causality error attribution,
+//!    non-box geometry) go through the one packed point fold of
+//!    [`crate::fold`]: `u64` keys in scratch tables — no
+//!    [`SpatialArray`], no `Vec<i64>` hashing, and no rational matrix
+//!    inverse until a candidate actually survives structural
+//!    deduplication.
 //! 4. **Full fold** — coordinates too wide even for packed keys take
-//!    [`SpatialArray::from_iterspace`] per candidate, always correct.
+//!    [`SpatialArray::from_iterspace`] per candidate, which for them is
+//!    the hashed point mapping of [`crate::spacetime::reference`],
+//!    always correct.
+//!
+//! Singularity is decided before any tier by the one determinant,
+//! [`stellar_linalg::bareiss_det`]; structures are deduplicated on the
+//! one structure record, [`StructureSummary`].
 //!
 //! Full arrays are materialized lazily, only for ranked survivors, via
 //! [`ExploredDataflow::materialize`]. The pre-fast-path scan is retained
-//! as [`explore_dataflows_reference`], the in-tree oracle that CI holds
-//! the fast path byte-identical to.
+//! as [`explore_dataflows_reference`], the one in-tree oracle search:
+//! serial, a full hashed fold per candidate, same ranking and same
+//! funnel partitions — the tests hold the fast path byte-identical to it.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -50,13 +58,11 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use rayon::PoolStats;
-use stellar_linalg::IntMat;
+use stellar_linalg::{bareiss_det, IntMat};
 
 use crate::analytic::{AnalyticScorer, AnalyticScratch};
 use crate::error::CompileError;
-use crate::fold::{
-    det_flat, summarize_array, ExploreFunnel, FoldScorer, FoldScratch, StructureSummary,
-};
+use crate::fold::{summarize_array, ExploreFunnel, FoldScorer, FoldScratch, StructureSummary};
 use crate::func::Functionality;
 use crate::index::Bounds;
 use crate::iterspace::IterationSpace;
@@ -81,6 +87,29 @@ pub struct ExploredDataflow {
 }
 
 impl ExploredDataflow {
+    fn from_summary(transform: SpaceTimeTransform, s: StructureSummary) -> ExploredDataflow {
+        ExploredDataflow {
+            transform,
+            num_pes: s.num_pes,
+            moving_conns: s.moving_conns,
+            stationary_conns: s.stationary_conns,
+            io_ports: s.io_ports,
+            time_steps: s.time_steps,
+        }
+    }
+
+    /// The structure this dataflow was ranked on — what the search
+    /// deduplicates by and what a fold of [`Self::transform`] reproduces.
+    pub fn summary(&self) -> StructureSummary {
+        StructureSummary {
+            num_pes: self.num_pes,
+            moving_conns: self.moving_conns,
+            stationary_conns: self.stationary_conns,
+            io_ports: self.io_ports,
+            time_steps: self.time_steps,
+        }
+    }
+
     /// A composite cost: PEs weighted against ports and wires, latency as a
     /// tiebreaker. Lower is better. (A deliberately simple default; callers
     /// can re-rank on the raw fields.)
@@ -159,9 +188,6 @@ impl Default for ExploreOptions {
     }
 }
 
-/// The structural fingerprint used to deduplicate equivalent dataflows.
-type StructureKey = (usize, usize, usize, usize, i64);
-
 /// Read-only context shared by every scan shard.
 struct ScanCtx<'a> {
     func: &'a Functionality,
@@ -170,7 +196,6 @@ struct ScanCtx<'a> {
     analytic: Option<AnalyticScorer>,
     diffs: Vec<Vec<i64>>,
     coeffs: Vec<i64>,
-    rank: usize,
     max_pes: usize,
     panic_on_code: Option<usize>,
 }
@@ -196,19 +221,17 @@ fn decode_candidate(code: usize, coeffs: &[i64], rows: &mut [i64]) {
 /// built only for candidates that survive deduplication. The funnel
 /// counters are plain integer adds on branches the scan already takes, so
 /// the hot loop stays allocation-free.
-fn scan_codes(
-    ctx: &ScanCtx<'_>,
-    codes: Range<usize>,
-) -> (Vec<(StructureKey, ExploredDataflow)>, ExploreFunnel) {
-    let n_entries = ctx.rank * ctx.rank;
+fn scan_codes(ctx: &ScanCtx<'_>, codes: Range<usize>) -> (Vec<ExploredDataflow>, ExploreFunnel) {
+    let rank = ctx.scorer.rank();
+    let n_entries = rank * rank;
     let n_choices = ctx.coeffs.len();
     let mut out = Vec::new();
     let mut funnel = ExploreFunnel::default();
-    let mut seen: HashSet<StructureKey> = HashSet::new();
+    let mut seen: HashSet<StructureSummary> = HashSet::new();
     let mut scratch = FoldScratch::for_scorer(&ctx.scorer);
     let mut ascratch = ctx.analytic.as_ref().map(AnalyticScratch::for_scorer);
     let mut rows = vec![0i64; n_entries];
-    let mut trow_buf = vec![0i64; ctx.rank];
+    let mut trow_buf = vec![0i64; rank];
     let mut det_buf = vec![0i128; n_entries];
     // The time row occupies the most-significant `rank` digits of the
     // mixed-radix code, so `n_choices^(rank·(rank−1))` consecutive codes
@@ -218,17 +241,19 @@ fn scan_codes(
     // of the per-candidate scan. (The pow cannot overflow: the caller
     // already verified `n_choices^(rank²)` fits in `usize`.)
     let block = n_choices
-        .checked_pow((ctx.rank * (ctx.rank - 1)) as u32)
+        .checked_pow((rank * (rank - 1)) as u32)
         .unwrap_or(1)
         .max(1);
+    // Builds the transform (and its rational inverse) of a candidate the
+    // determinant test let through.
+    let transform_of = |rows: &[i64]| {
+        SpaceTimeTransform::new(IntMat::from_vec(rank, rank, rows.to_vec()))
+            .expect("candidate passed the exact determinant check")
+    };
     let mut code = codes.start;
     while code < codes.end {
         let run_end = ((code / block + 1) * block).min(codes.end);
-        let mut rem = code / block;
-        for slot in trow_buf.iter_mut() {
-            *slot = ctx.coeffs[rem % n_choices];
-            rem /= n_choices;
-        }
+        decode_candidate(code / block, &ctx.coeffs, &mut trow_buf);
         if ctx
             .diffs
             .iter()
@@ -253,7 +278,7 @@ fn scan_codes(
             }
             decode_candidate(code, &ctx.coeffs, &mut rows);
             funnel.decoded += 1;
-            if det_flat(&rows, ctx.rank, &mut det_buf) == 0 {
+            if bareiss_det(&rows, rank, &mut det_buf) == Some(0) {
                 funnel.singular += 1;
                 continue;
             }
@@ -275,18 +300,8 @@ fn scan_codes(
                     None => {
                         // Coordinates too wide for packed keys: full fold.
                         funnel.pack_fallback += 1;
-                        let mat = IntMat::from_vec(ctx.rank, ctx.rank, rows.clone());
-                        let t = match SpaceTimeTransform::new(mat) {
-                            Ok(t) => t,
-                            Err(_) => {
-                                // Unreachable after the exact determinant
-                                // check, but keep the funnel a partition
-                                // regardless.
-                                funnel.singular += 1;
-                                continue;
-                            }
-                        };
-                        match SpatialArray::from_iterspace(&ctx.is, ctx.func, &t) {
+                        match SpatialArray::from_iterspace(&ctx.is, ctx.func, &transform_of(&rows))
+                        {
                             Ok(a) => summarize_array(&a),
                             Err(_) => {
                                 funnel.collision_rejected += 1;
@@ -304,32 +319,12 @@ fn scan_codes(
                 }
                 continue;
             }
-            let key = (
-                summary.num_pes,
-                summary.moving_conns,
-                summary.io_ports,
-                summary.stationary_conns,
-                summary.time_steps,
-            );
-            if !seen.insert(key) {
+            if !seen.insert(summary) {
                 funnel.dedup_collisions += 1;
                 continue;
             }
             funnel.survivors += 1;
-            let mat = IntMat::from_vec(ctx.rank, ctx.rank, rows.clone());
-            let t =
-                SpaceTimeTransform::new(mat).expect("candidate passed the exact determinant check");
-            out.push((
-                key,
-                ExploredDataflow {
-                    transform: t,
-                    num_pes: summary.num_pes,
-                    moving_conns: summary.moving_conns,
-                    stationary_conns: summary.stationary_conns,
-                    io_ports: summary.io_ports,
-                    time_steps: summary.time_steps,
-                },
-            ));
+            out.push(ExploredDataflow::from_summary(transform_of(&rows), summary));
         }
         code = run_end;
     }
@@ -344,32 +339,17 @@ fn confirm_survivors(ctx: &ScanCtx<'_>, results: &[ExploredDataflow]) -> Result<
     for e in results {
         let diverged = |detail: String| CompileError::AnalyticDivergence { detail };
         let folded = match ctx.scorer.score(&e.transform, &mut scratch) {
-            Some(Ok(s)) => s,
-            Some(Err(err)) => {
-                return Err(diverged(format!(
-                    "{}: fold rejected a ranked survivor: {err}",
-                    e.transform
-                )))
-            }
-            None => {
-                let arr = SpatialArray::from_iterspace(&ctx.is, ctx.func, &e.transform).map_err(
-                    |err| {
-                        diverged(format!(
-                            "{}: fold rejected a ranked survivor: {err}",
-                            e.transform
-                        ))
-                    },
-                )?;
-                summarize_array(&arr)
-            }
-        };
-        let ranked = StructureSummary {
-            num_pes: e.num_pes,
-            moving_conns: e.moving_conns,
-            stationary_conns: e.stationary_conns,
-            io_ports: e.io_ports,
-            time_steps: e.time_steps,
-        };
+            Some(scored) => scored,
+            None => SpatialArray::from_iterspace(&ctx.is, ctx.func, &e.transform)
+                .map(|arr| summarize_array(&arr)),
+        }
+        .map_err(|err| {
+            diverged(format!(
+                "{}: fold rejected a ranked survivor: {err}",
+                e.transform
+            ))
+        })?;
+        let ranked = e.summary();
         if folded != ranked {
             return Err(diverged(format!(
                 "{}: ranked {ranked:?} vs fold {folded:?}",
@@ -401,15 +381,25 @@ fn search_inputs(
         }
     }
 
-    let coeffs: Vec<i64> = (-max_coeff..=max_coeff).collect();
+    // Size the space before materializing the coefficient list: `max_coeff`
+    // arrives from serve lines, and an absurd bound must be this error, not
+    // an allocation failure that aborts the process.
     let n_entries = (rank * rank) as u32;
-    let total = coeffs
-        .len()
+    let n_choices = if max_coeff < 0 {
+        0
+    } else {
+        usize::try_from(max_coeff)
+            .ok()
+            .and_then(|c| c.checked_mul(2)?.checked_add(1))
+            .unwrap_or(usize::MAX)
+    };
+    let total = n_choices
         .checked_pow(n_entries)
         .ok_or(CompileError::SearchSpaceTooLarge {
-            choices: coeffs.len(),
+            choices: n_choices,
             entries: n_entries,
         })?;
+    let coeffs: Vec<i64> = (-max_coeff..=max_coeff).collect();
     Ok((is, diffs, coeffs, total))
 }
 
@@ -451,7 +441,7 @@ pub struct ExploreRun {
 /// [`ExploreOptions::parallelism`]; the ranking is byte-identical to the
 /// serial scan for every setting (see the module docs for the argument).
 /// Candidates are scored by the allocation-free [`FoldScorer`] fast path;
-/// the ranking is additionally byte-identical to
+/// the ranking is additionally byte-identical to that of
 /// [`explore_dataflows_reference`], the retained full-fold oracle.
 ///
 /// # Errors
@@ -486,12 +476,10 @@ pub fn explore_dataflows_profiled(
 ) -> Result<ExploreRun, CompileError> {
     let (is, diffs, coeffs, total) = search_inputs(func, bounds, opts.max_coeff)?;
     let scorer = FoldScorer::new(&is, func);
-    let analytic = if opts.analytic_tier {
-        AnalyticScorer::try_new(&is, func)
-    } else {
-        None
-    };
-    let rank = func.rank();
+    let analytic = opts
+        .analytic_tier
+        .then(|| AnalyticScorer::try_new(&is, func))
+        .flatten();
     let ctx = ScanCtx {
         func,
         is,
@@ -499,7 +487,6 @@ pub fn explore_dataflows_profiled(
         analytic,
         diffs,
         coeffs,
-        rank,
         max_pes: opts.max_pes,
         panic_on_code: opts.panic_on_code,
     };
@@ -514,7 +501,7 @@ pub fn explore_dataflows_profiled(
     // scoring bug, an overflow) becomes `Err(WorkerPanicked)` instead of
     // tearing down the process hosting the search.
     let panicked = |message: String| CompileError::WorkerPanicked { message };
-    type Shard = (Vec<(StructureKey, ExploredDataflow)>, ExploreFunnel);
+    type Shard = (Vec<ExploredDataflow>, ExploreFunnel);
     let (shards, pool): (Vec<Shard>, PoolStats) = if workers <= 1 || total <= MIN_SHARD {
         let started = Instant::now();
         let shard =
@@ -547,12 +534,12 @@ pub fn explore_dataflows_profiled(
     // that loses the global dedup is demoted to a dedup collision, which
     // is what the serial scan would have counted it as.
     let mut funnel = ExploreFunnel::default();
-    let mut seen: HashSet<StructureKey> = HashSet::new();
+    let mut seen: HashSet<StructureSummary> = HashSet::new();
     let mut results: Vec<ExploredDataflow> = Vec::new();
     for (shard, shard_funnel) in shards {
         funnel.merge(&shard_funnel);
-        for (key, e) in shard {
-            if seen.insert(key) {
+        for e in shard {
+            if seen.insert(e.summary()) {
                 results.push(e);
             } else {
                 funnel.survivors -= 1;
@@ -575,93 +562,27 @@ pub fn explore_dataflows_profiled(
     })
 }
 
-/// The pre-fast-path search, retained verbatim as the in-tree oracle: a
-/// serial scan that materializes a full [`SpatialArray`] per candidate via
-/// the hash-based [`reference`] fold. The equivalence tests in
+/// The pre-fast-path search, retained as the one in-tree oracle: a serial
+/// scan that materializes a full [`SpatialArray`] per candidate via the
+/// hashed [`mod@reference`] fold, with the same stage-count telemetry as
+/// [`explore_dataflows_profiled`]. The equivalence tests in
 /// `tests/explore_parallel.rs` hold [`explore_dataflows`] byte-identical
-/// to this.
+/// to its `results` and the fast path's funnel partitions equal to its
+/// `funnel`.
+///
+/// The oracle's filters commute as a *set* (a candidate rejected by both
+/// causality and singularity is rejected either way), but funnel buckets
+/// need one canonical attribution order. It classifies in the fast path's
+/// order — causality first (the same raw time-row dot product as
+/// [`SpaceTimeTransform::time_delta`], taken before the matrix is
+/// built), then singularity, then the full fold. `pack_fallback` and the
+/// `analytic_*` counters are always zero here: the oracle has no packed
+/// fast path to fall back *from* and no closed forms.
 ///
 /// # Errors
 ///
 /// Same contract as [`explore_dataflows`].
 pub fn explore_dataflows_reference(
-    func: &Functionality,
-    bounds: &Bounds,
-    opts: &ExploreOptions,
-) -> Result<Vec<ExploredDataflow>, CompileError> {
-    let (is, diffs, coeffs, total) = search_inputs(func, bounds, opts.max_coeff)?;
-    let n_entries = func.rank() * func.rank();
-    let n_choices = coeffs.len();
-    let mut results: Vec<ExploredDataflow> = Vec::new();
-    let mut seen: HashSet<StructureKey> = HashSet::new();
-    for code in 0..total {
-        // Decode the matrix entries from the mixed-radix code.
-        let mut rem = code;
-        let mut data = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            data.push(coeffs[rem % n_choices]);
-            rem /= n_choices;
-        }
-        let mat = IntMat::from_vec(func.rank(), func.rank(), data);
-        if mat.det() == 0 {
-            continue;
-        }
-        let t = match SpaceTimeTransform::new(mat) {
-            Ok(t) => t,
-            Err(_) => continue,
-        };
-        if diffs.iter().any(|d| t.time_delta(d) <= 0) {
-            continue;
-        }
-        let arr = match reference::from_iterspace(&is, func, &t) {
-            Ok(a) => a,
-            Err(_) => continue, // collision
-        };
-        if arr.num_pes() > opts.max_pes {
-            continue;
-        }
-        let moving = arr.conns().iter().filter(|c| !c.is_stationary()).count();
-        let stationary = arr.conns().len() - moving;
-        let e = ExploredDataflow {
-            transform: t,
-            num_pes: arr.num_pes(),
-            moving_conns: moving,
-            stationary_conns: stationary,
-            io_ports: arr.io_ports().len(),
-            time_steps: arr.total_time_steps(),
-        };
-        let key = (
-            e.num_pes,
-            e.moving_conns,
-            e.io_ports,
-            stationary,
-            e.time_steps,
-        );
-        if seen.insert(key) {
-            results.push(e);
-        }
-    }
-    Ok(rank_results(results, opts.keep))
-}
-
-/// [`explore_dataflows_reference`] with the same stage-count telemetry as
-/// [`explore_dataflows_profiled`], so the funnel-determinism tests can
-/// hold the fast path's accounting equal to the oracle's.
-///
-/// The oracle's filters commute as a *set* (a candidate rejected by both
-/// causality and singularity is rejected either way), but funnel buckets
-/// need one canonical attribution order. This variant classifies in the
-/// fast path's order — causality first (the same raw time-row dot product
-/// as [`SpaceTimeTransform::time_delta`], taken before the matrix is
-/// built), then singularity, then the full fold — so the buckets match
-/// the fast path exactly while the ranking stays byte-identical to
-/// [`explore_dataflows_reference`]. `pack_fallback` is always zero here:
-/// the oracle has no packed fast path to fall back *from*.
-///
-/// # Errors
-///
-/// Same contract as [`explore_dataflows`].
-pub fn explore_dataflows_reference_profiled(
     func: &Functionality,
     bounds: &Bounds,
     opts: &ExploreOptions,
@@ -673,7 +594,7 @@ pub fn explore_dataflows_reference_profiled(
     let started = Instant::now();
     let mut funnel = ExploreFunnel::default();
     let mut results: Vec<ExploredDataflow> = Vec::new();
-    let mut seen: HashSet<StructureKey> = HashSet::new();
+    let mut seen: HashSet<StructureSummary> = HashSet::new();
     for code in 0..total {
         // Decode the matrix entries from the mixed-radix code.
         let mut rem = code;
@@ -691,12 +612,7 @@ pub fn explore_dataflows_reference_profiled(
             funnel.causality_rejected += 1;
             continue;
         }
-        let mat = IntMat::from_vec(rank, rank, data);
-        if mat.det() == 0 {
-            funnel.singular += 1;
-            continue;
-        }
-        let t = match SpaceTimeTransform::new(mat) {
+        let t = match SpaceTimeTransform::new(IntMat::from_vec(rank, rank, data)) {
             Ok(t) => t,
             Err(_) => {
                 funnel.singular += 1;
@@ -715,29 +631,13 @@ pub fn explore_dataflows_reference_profiled(
             funnel.over_max_pes += 1;
             continue;
         }
-        let moving = arr.conns().iter().filter(|c| !c.is_stationary()).count();
-        let stationary = arr.conns().len() - moving;
-        let e = ExploredDataflow {
-            transform: t,
-            num_pes: arr.num_pes(),
-            moving_conns: moving,
-            stationary_conns: stationary,
-            io_ports: arr.io_ports().len(),
-            time_steps: arr.total_time_steps(),
-        };
-        let key = (
-            e.num_pes,
-            e.moving_conns,
-            e.io_ports,
-            stationary,
-            e.time_steps,
-        );
-        if !seen.insert(key) {
+        let summary = summarize_array(&arr);
+        if !seen.insert(summary) {
             funnel.dedup_collisions += 1;
             continue;
         }
         funnel.survivors += 1;
-        results.push(e);
+        results.push(ExploredDataflow::from_summary(t, summary));
     }
     let busy_ms = started.elapsed().as_secs_f64() * 1e3;
     let results = rank_results(results, opts.keep);
@@ -849,7 +749,7 @@ mod tests {
         };
         let fast = explore_dataflows(&f, &bounds, &opts).unwrap();
         let oracle = explore_dataflows_reference(&f, &bounds, &opts).unwrap();
-        assert_eq!(fast, oracle);
+        assert_eq!(fast, oracle.results);
     }
 
     #[test]
@@ -970,7 +870,7 @@ mod tests {
             ..ExploreOptions::default()
         };
         let fast = explore_dataflows_profiled(&f, &bounds, &opts).unwrap();
-        let oracle = explore_dataflows_reference_profiled(&f, &bounds, &opts).unwrap();
+        let oracle = explore_dataflows_reference(&f, &bounds, &opts).unwrap();
         // The oracle has neither a packed fast path nor an analytical
         // tier, so its informational tier-attribution counters are 0 by
         // construction; every partitioned bucket must agree.
@@ -979,12 +879,35 @@ mod tests {
         fast_funnel.analytic_scored = 0;
         fast_funnel.analytic_rejected = 0;
         assert_eq!(fast_funnel, oracle.funnel);
-        // Reordering the oracle's filters for canonical attribution must
-        // not change its ranking.
-        assert_eq!(
-            oracle.results,
-            explore_dataflows_reference(&f, &bounds, &opts).unwrap()
-        );
+        assert_eq!(oracle.results, fast.results);
+    }
+
+    #[test]
+    fn absurd_max_coeff_is_rejected_before_the_coefficient_list_is_built() {
+        // 2·10¹²+1 choices: collecting them first would ask for 16 TB.
+        let f = Functionality::matmul(2, 2, 2);
+        let bounds = Bounds::from_extents(&[2, 2, 2]);
+        for (max_coeff, choices) in [
+            (1_000_000_000_000, 2_000_000_000_001),
+            (i64::MAX, usize::MAX),
+        ] {
+            let opts = ExploreOptions {
+                max_coeff,
+                ..ExploreOptions::default()
+            };
+            let too_large = CompileError::SearchSpaceTooLarge {
+                choices,
+                entries: 9,
+            };
+            assert_eq!(
+                explore_dataflows(&f, &bounds, &opts),
+                Err(too_large.clone())
+            );
+            assert_eq!(
+                explore_dataflows_reference(&f, &bounds, &opts).map(|run| run.results),
+                Err(too_large)
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Allocation-free candidate scoring for the dataflow search.
+//! Allocation-free candidate scoring for the dataflow search, and the one
+//! packed point fold.
 //!
-//! The search of [`crate::explore`] only needs a candidate's *structure
-//! key* — PE count, moving/stationary wire counts, IO port count, and
-//! latency — yet the naive path materializes a full
+//! The search of [`crate::explore`] only needs a candidate's
+//! [`StructureSummary`] — PE count, moving/stationary wire counts, IO port
+//! count, and latency — yet the naive path materializes a full
 //! [`SpatialArray`] per candidate: a fresh `Vec<i64>` per point from
 //! [`SpaceTimeTransform::apply`], `HashSet<Vec<i64>>` collision sets, and
 //! a rational matrix inverse per transform. This module is the compiler
@@ -11,17 +12,21 @@
 //! `i64` coordinate matrix plus flat connection/IO tables
 //! ([`FoldScorer`]), and each candidate is then scored with integer dot
 //! products into reusable per-worker buffers ([`FoldScratch`]) — zero
-//! steady-state allocations. Space-time and spatial coordinates are
-//! packed into `u64` keys (each component biased into an unsigned field
-//! sized from the per-axis coordinate bounds) and deduplicated in
-//! generation-stamped open-addressing tables, so collision detection and
-//! PE identification never hash a `Vec<i64>`.
+//! steady-state allocations.
+//!
+//! The loop that maps every lattice point through `T`, packs the
+//! space-time image into a `u64` key (each component biased into an
+//! unsigned field sized from the per-axis coordinate bounds), detects
+//! collisions, assigns PE ids and tracks the time range lives here once,
+//! as `PointScratch::fold`: generation-stamped open-addressing tables,
+//! never a hashed `Vec<i64>`. [`FoldScorer::score_rows`] and
+//! [`SpatialArray::from_iterspace`] are its two callers.
 //!
 //! When a fold cannot be packed into 64-bit keys (very wide coordinates
-//! or huge spaces) the scorer reports `None` and callers fall back to the
-//! full fold, which is always correct. The scorer is proven key-equal to
-//! both [`SpatialArray::from_iterspace`] and the retained
-//! [`crate::spacetime::reference`] fold by
+//! or huge spaces) the kernel reports `None` and callers fall back to the
+//! hashed point mapping of [`crate::spacetime::reference`], which is
+//! always correct. The scorer is proven key-equal to both
+//! [`SpatialArray::from_iterspace`] and that reference by
 //! `crates/core/tests/fold_equivalence.rs`.
 
 use crate::error::CompileError;
@@ -32,7 +37,7 @@ use crate::transform::SpaceTimeTransform;
 
 /// The structural fingerprint of a folded array — exactly the fields the
 /// dataflow search ranks and deduplicates on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct StructureSummary {
     /// PEs in the folded array.
     pub num_pes: usize,
@@ -145,23 +150,41 @@ pub struct ExploreFunnel {
 }
 
 impl ExploreFunnel {
+    /// Every counter with its name, in declaration order — the one field
+    /// table. [`ExploreFunnel::merge`], the design cache's on-disk funnel
+    /// (every entry before the `cache_*` counters, in this order) and the
+    /// profile JSON are all driven by it.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 15] {
+        [
+            ("decoded", &mut self.decoded),
+            ("causality_rejected", &mut self.causality_rejected),
+            ("singular", &mut self.singular),
+            ("pack_fallback", &mut self.pack_fallback),
+            ("analytic_scored", &mut self.analytic_scored),
+            ("analytic_rejected", &mut self.analytic_rejected),
+            ("collision_rejected", &mut self.collision_rejected),
+            ("scored", &mut self.scored),
+            ("over_max_pes", &mut self.over_max_pes),
+            ("dedup_collisions", &mut self.dedup_collisions),
+            ("survivors", &mut self.survivors),
+            ("materialized", &mut self.materialized),
+            ("cache_hits", &mut self.cache_hits),
+            ("cache_misses", &mut self.cache_misses),
+            ("coalesced", &mut self.coalesced),
+        ]
+    }
+
+    /// [`ExploreFunnel::fields_mut`] by value.
+    pub fn fields(&self) -> [(&'static str, u64); 15] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
+    }
+
     /// Field-wise accumulation (shard → global), saturating on overflow.
     pub fn merge(&mut self, o: &ExploreFunnel) {
-        self.decoded = self.decoded.saturating_add(o.decoded);
-        self.causality_rejected = self.causality_rejected.saturating_add(o.causality_rejected);
-        self.singular = self.singular.saturating_add(o.singular);
-        self.pack_fallback = self.pack_fallback.saturating_add(o.pack_fallback);
-        self.analytic_scored = self.analytic_scored.saturating_add(o.analytic_scored);
-        self.analytic_rejected = self.analytic_rejected.saturating_add(o.analytic_rejected);
-        self.collision_rejected = self.collision_rejected.saturating_add(o.collision_rejected);
-        self.scored = self.scored.saturating_add(o.scored);
-        self.over_max_pes = self.over_max_pes.saturating_add(o.over_max_pes);
-        self.dedup_collisions = self.dedup_collisions.saturating_add(o.dedup_collisions);
-        self.survivors = self.survivors.saturating_add(o.survivors);
-        self.materialized = self.materialized.saturating_add(o.materialized);
-        self.cache_hits = self.cache_hits.saturating_add(o.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(o.cache_misses);
-        self.coalesced = self.coalesced.saturating_add(o.coalesced);
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(o.fields()) {
+            *mine = mine.saturating_add(theirs);
+        }
     }
 
     /// Verifies the partition invariants, returning the first violated
@@ -265,72 +288,157 @@ impl ScratchTable {
     }
 }
 
-/// Computes the per-component packing layout for a candidate transform:
-/// `offsets[i]` biases component `i` into `0..=2*offsets[i]` and
-/// `widths[i]` is its bit width. Returns `None` when the packed key would
-/// not fit in 64 bits (callers fall back to the full fold) or when any
-/// bound overflows `i64` — which also certifies that every dot product
-/// the fold performs fits in `i64`.
-pub(crate) fn packing_layout(
-    rows: &[i64],
-    rank: usize,
-    axis_abs: &[i64],
-    offsets: &mut [i64],
-    widths: &mut [u32],
-) -> Option<()> {
-    let mut total_bits = 0u32;
-    for i in 0..rank {
-        let mut bound: i64 = 0;
-        for c in 0..rank {
-            bound =
-                bound.checked_add(rows[i * rank + c].checked_abs()?.checked_mul(axis_abs[c])?)?;
-        }
-        let span = (bound as u64).checked_mul(2)?; // values live in 0..=span
-        let bits = (64 - span.leading_zeros()).max(1);
-        offsets[i] = bound;
-        widths[i] = bits;
-        total_bits += bits;
-    }
-    if total_bits > 64 {
-        return None;
-    }
-    Some(())
+/// The buffers and results of the one packed point fold, sized once per
+/// iteration space and reused across candidates.
+#[derive(Clone, Debug)]
+pub(crate) struct PointScratch {
+    st: Vec<i64>,
+    offsets: Vec<i64>,
+    widths: Vec<u32>,
+    st_table: ScratchTable,
+    pe_table: ScratchTable,
+    /// After an `Ok` fold: each point's PE id, `0..num_pes` handed out in
+    /// first-occurrence (point) order.
+    pub(crate) point_pe: Vec<u32>,
+    /// After an `Ok` fold: each point's time step.
+    pub(crate) point_time: Vec<i64>,
+    /// After an `Ok` fold: distinct spatial images, i.e. PEs.
+    pub(crate) num_pes: usize,
+    /// After an `Ok` fold: first and last time step (`(0, 0)` for an
+    /// empty space).
+    pub(crate) time_range: (i64, i64),
 }
 
-/// Exact determinant of a flat row-major `n × n` matrix via the Bareiss
-/// fraction-free algorithm, into a caller-provided `i128` buffer (the
-/// allocation-free twin of `IntMat::det`).
-pub(crate) fn det_flat(rows: &[i64], n: usize, buf: &mut [i128]) -> i64 {
-    debug_assert_eq!(rows.len(), n * n);
-    debug_assert!(buf.len() >= n * n);
-    for (b, &v) in buf.iter_mut().zip(rows) {
-        *b = v as i128;
+impl PointScratch {
+    pub(crate) fn new(rank: usize, n_points: usize) -> PointScratch {
+        PointScratch {
+            st: vec![0; rank],
+            offsets: vec![0; rank],
+            widths: vec![0; rank],
+            st_table: ScratchTable::with_capacity(n_points),
+            pe_table: ScratchTable::with_capacity(n_points),
+            point_pe: vec![0; n_points],
+            point_time: vec![0; n_points],
+            num_pes: 0,
+            time_range: (0, 0),
+        }
     }
-    let m = buf;
-    let mut sign = 1i128;
-    let mut prev = 1i128;
-    for k in 0..n.saturating_sub(1) {
-        if m[k * n + k] == 0 {
-            let swap = (k + 1..n).find(|&r| m[r * n + k] != 0);
-            match swap {
-                Some(r) => {
-                    for c in 0..n {
-                        m.swap(k * n + c, r * n + c);
-                    }
-                    sign = -sign;
+
+    /// Computes the per-component packing layout for a candidate
+    /// transform: `offsets[i]` biases component `i` into
+    /// `0..=2*offsets[i]` and `widths[i]` is its bit width. Returns `None`
+    /// when the packed key would not fit in 64 bits or when any bound
+    /// overflows `i64` — which also certifies that every dot product the
+    /// fold performs fits in `i64`.
+    fn layout(&mut self, rows: &[i64], axis_abs: &[i64]) -> Option<()> {
+        let rank = self.st.len();
+        let mut total_bits = 0u32;
+        for i in 0..rank {
+            let mut bound: i64 = 0;
+            for c in 0..rank {
+                let term = rows[i * rank + c].checked_abs()?.checked_mul(axis_abs[c])?;
+                bound = bound.checked_add(term)?;
+            }
+            let span = (bound as u64).checked_mul(2)?; // values live in 0..=span
+            let bits = (64 - span.leading_zeros()).max(1);
+            self.offsets[i] = bound;
+            self.widths[i] = bits;
+            total_bits += bits;
+        }
+        (total_bits <= 64).then_some(())
+    }
+
+    /// Folds every point through the flat row-major transform `rows`:
+    /// packed space-time key for collision detection, packed spatial
+    /// prefix for PE identity, time range on the side. `points` yields
+    /// the `rank` coordinates of each of the space's points, in point
+    /// order; `axis_abs` bounds `|coordinate|` per axis.
+    ///
+    /// `None` means the image does not pack into 64 bits (callers fall
+    /// back to the hashed fold). A collision is reported at the first
+    /// colliding point, with its space-time image.
+    pub(crate) fn fold<'a>(
+        &mut self,
+        rows: &[i64],
+        axis_abs: &[i64],
+        points: impl Iterator<Item = &'a [i64]>,
+    ) -> Option<Result<(), CompileError>> {
+        let rank = self.st.len();
+        debug_assert_eq!(rows.len(), rank * rank);
+        self.layout(rows, axis_abs)?;
+        let (st, offsets, widths) = (&mut self.st, &self.offsets, &self.widths);
+        self.st_table.begin();
+        self.pe_table.begin();
+        let time_width = widths[rank - 1];
+        let mut num_pes = 0u32;
+        let mut tmin = i64::MAX;
+        let mut tmax = i64::MIN;
+        for (p, pc) in points.enumerate() {
+            let mut key = 0u64;
+            match rank {
+                // Fully unrolled dot-product lanes for the common ranks.
+                // The arithmetic is integer — exact and associative — so
+                // unrolling is trivially result-identical to the generic
+                // loop below; the match arm is loop-invariant, so LLVM
+                // unswitches it out of the point loop.
+                3 => {
+                    let (x, y, z) = (pc[0], pc[1], pc[2]);
+                    let s0 = rows[0] * x + rows[1] * y + rows[2] * z;
+                    let s1 = rows[3] * x + rows[4] * y + rows[5] * z;
+                    let s2 = rows[6] * x + rows[7] * y + rows[8] * z;
+                    st[0] = s0;
+                    st[1] = s1;
+                    st[2] = s2;
+                    key = (s0 + offsets[0]) as u64;
+                    key = (key << widths[1]) | (s1 + offsets[1]) as u64;
+                    key = (key << widths[2]) | (s2 + offsets[2]) as u64;
                 }
-                None => return 0,
+                4 => {
+                    let (x, y, z, w) = (pc[0], pc[1], pc[2], pc[3]);
+                    let s0 = rows[0] * x + rows[1] * y + rows[2] * z + rows[3] * w;
+                    let s1 = rows[4] * x + rows[5] * y + rows[6] * z + rows[7] * w;
+                    let s2 = rows[8] * x + rows[9] * y + rows[10] * z + rows[11] * w;
+                    let s3 = rows[12] * x + rows[13] * y + rows[14] * z + rows[15] * w;
+                    st[0] = s0;
+                    st[1] = s1;
+                    st[2] = s2;
+                    st[3] = s3;
+                    key = (s0 + offsets[0]) as u64;
+                    key = (key << widths[1]) | (s1 + offsets[1]) as u64;
+                    key = (key << widths[2]) | (s2 + offsets[2]) as u64;
+                    key = (key << widths[3]) | (s3 + offsets[3]) as u64;
+                }
+                _ => {
+                    for i in 0..rank {
+                        let mut acc = 0i64;
+                        for (c, &coef) in rows[i * rank..(i + 1) * rank].iter().enumerate() {
+                            acc += coef * pc[c];
+                        }
+                        st[i] = acc;
+                        key = (key << widths[i]) | (acc + offsets[i]) as u64;
+                    }
+                }
             }
-        }
-        for i in k + 1..n {
-            for j in k + 1..n {
-                m[i * n + j] = (m[i * n + j] * m[k * n + k] - m[i * n + k] * m[k * n + j]) / prev;
+            if self.st_table.insert(key, 0).is_some() {
+                return Some(Err(CompileError::SpaceTimeCollision { coord: st.clone() }));
             }
-            m[i * n + k] = 0;
+            let time = st[rank - 1];
+            tmin = tmin.min(time);
+            tmax = tmax.max(time);
+            let pe = match self.pe_table.insert(key >> time_width, num_pes) {
+                Some(existing) => existing,
+                None => {
+                    num_pes += 1;
+                    num_pes - 1
+                }
+            };
+            self.point_pe[p] = pe;
+            self.point_time[p] = time;
         }
-        prev = m[k * n + k];
+        self.num_pes = num_pes as usize;
+        self.time_range = if tmin <= tmax { (tmin, tmax) } else { (0, 0) };
+        Some(Ok(()))
     }
-    (sign * m[n * n - 1]) as i64
 }
 
 /// Per-worker reusable scratch for [`FoldScorer::score_rows`]: every
@@ -338,13 +446,8 @@ pub(crate) fn det_flat(rows: &[i64], n: usize, buf: &mut [i128]) -> i64 {
 /// steady-state scoring performs no allocations.
 #[derive(Clone, Debug)]
 pub struct FoldScratch {
-    st: Vec<i64>,
-    offsets: Vec<i64>,
-    widths: Vec<u32>,
-    point_pe: Vec<u32>,
+    points: PointScratch,
     diff_moving: Vec<bool>,
-    st_table: ScratchTable,
-    pe_table: ScratchTable,
     conn_table: ScratchTable,
     io_table: ScratchTable,
 }
@@ -353,13 +456,8 @@ impl FoldScratch {
     /// Scratch sized for one scorer.
     pub fn for_scorer(s: &FoldScorer) -> FoldScratch {
         FoldScratch {
-            st: vec![0; s.rank],
-            offsets: vec![0; s.rank],
-            widths: vec![0; s.rank],
-            point_pe: vec![0; s.n_points],
+            points: PointScratch::new(s.rank, s.n_points),
             diff_moving: vec![false; s.conn_diffs.len()],
-            st_table: ScratchTable::with_capacity(s.n_points),
-            pe_table: ScratchTable::with_capacity(s.n_points),
             conn_table: ScratchTable::with_capacity(s.conn_var.len()),
             io_table: ScratchTable::with_capacity(s.io_point.len()),
         }
@@ -484,12 +582,7 @@ impl FoldScorer {
         scratch: &mut FoldScratch,
     ) -> Option<Result<StructureSummary, CompileError>> {
         assert_eq!(t.rank(), self.rank, "transform rank mismatch");
-        let m = t.matrix();
-        let mut rows = Vec::with_capacity(self.rank * self.rank);
-        for r in 0..self.rank {
-            rows.extend_from_slice(m.row(r));
-        }
-        self.score_rows(&rows, scratch)
+        self.score_rows(&t.flat_rows(), scratch)
     }
 
     /// Scores a candidate from its flat row-major matrix (which must be
@@ -503,122 +596,31 @@ impl FoldScorer {
         scratch: &mut FoldScratch,
     ) -> Option<Result<StructureSummary, CompileError>> {
         let rank = self.rank;
-        debug_assert_eq!(rows.len(), rank * rank);
         if !self.packable {
             return None;
         }
-        packing_layout(
-            rows,
-            rank,
-            &self.axis_abs,
-            &mut scratch.offsets,
-            &mut scratch.widths,
-        )?;
-
-        // Fold every point: packed space-time key for collision detection,
-        // packed spatial prefix for PE identity.
-        scratch.st_table.begin();
-        scratch.pe_table.begin();
-        let time_width = scratch.widths[rank - 1];
-        let mut num_pes = 0u32;
-        let mut tmin = i64::MAX;
-        let mut tmax = i64::MIN;
-        for p in 0..self.n_points {
-            let pc = &self.coords[p * rank..(p + 1) * rank];
-            let mut key = 0u64;
-            match rank {
-                // Fully unrolled dot-product lanes for the common ranks.
-                // The arithmetic is integer — exact and associative — so
-                // unrolling is trivially result-identical to the generic
-                // loop below; the match arm is loop-invariant, so LLVM
-                // unswitches it out of the point loop.
-                3 => {
-                    let (x, y, z) = (pc[0], pc[1], pc[2]);
-                    let s0 = rows[0] * x + rows[1] * y + rows[2] * z;
-                    let s1 = rows[3] * x + rows[4] * y + rows[5] * z;
-                    let s2 = rows[6] * x + rows[7] * y + rows[8] * z;
-                    scratch.st[0] = s0;
-                    scratch.st[1] = s1;
-                    scratch.st[2] = s2;
-                    key = (s0 + scratch.offsets[0]) as u64;
-                    key = (key << scratch.widths[1]) | (s1 + scratch.offsets[1]) as u64;
-                    key = (key << scratch.widths[2]) | (s2 + scratch.offsets[2]) as u64;
-                }
-                4 => {
-                    let (x, y, z, w) = (pc[0], pc[1], pc[2], pc[3]);
-                    let s0 = rows[0] * x + rows[1] * y + rows[2] * z + rows[3] * w;
-                    let s1 = rows[4] * x + rows[5] * y + rows[6] * z + rows[7] * w;
-                    let s2 = rows[8] * x + rows[9] * y + rows[10] * z + rows[11] * w;
-                    let s3 = rows[12] * x + rows[13] * y + rows[14] * z + rows[15] * w;
-                    scratch.st[0] = s0;
-                    scratch.st[1] = s1;
-                    scratch.st[2] = s2;
-                    scratch.st[3] = s3;
-                    key = (s0 + scratch.offsets[0]) as u64;
-                    key = (key << scratch.widths[1]) | (s1 + scratch.offsets[1]) as u64;
-                    key = (key << scratch.widths[2]) | (s2 + scratch.offsets[2]) as u64;
-                    key = (key << scratch.widths[3]) | (s3 + scratch.offsets[3]) as u64;
-                }
-                _ => {
-                    for i in 0..rank {
-                        let mut acc = 0i64;
-                        for (c, &coef) in rows[i * rank..(i + 1) * rank].iter().enumerate() {
-                            acc += coef * pc[c];
-                        }
-                        scratch.st[i] = acc;
-                        key = (key << scratch.widths[i]) | (acc + scratch.offsets[i]) as u64;
-                    }
-                }
-            }
-            if scratch.st_table.insert(key, 0).is_some() {
-                return Some(Err(CompileError::SpaceTimeCollision {
-                    coord: scratch.st.clone(),
-                }));
-            }
-            let time = scratch.st[rank - 1];
-            tmin = tmin.min(time);
-            tmax = tmax.max(time);
-            let space_key = key >> time_width;
-            let pe = match scratch.pe_table.insert(space_key, num_pes) {
-                Some(existing) => existing,
-                None => {
-                    num_pes += 1;
-                    num_pes - 1
-                }
-            };
-            scratch.point_pe[p] = pe;
+        let points = self.coords.chunks_exact(rank);
+        if let Err(collision) = scratch.points.fold(rows, &self.axis_abs, points)? {
+            return Some(Err(collision));
         }
+        let point_pe = &scratch.points.point_pe;
+        let (tmin, tmax) = scratch.points.time_range;
 
         // Causality per distinct difference vector (all connections
         // sharing a diff have the same Δt, so first-occurrence order is
         // connection order), caching the moving/stationary split.
-        let trow = &rows[(rank - 1) * rank..];
+        let image = |i: usize, diff: &[i64]| -> i64 {
+            let row = &rows[i * rank..(i + 1) * rank];
+            row.iter().zip(diff).map(|(a, b)| a * b).sum()
+        };
         for (ix, cd) in self.conn_diffs.iter().enumerate() {
-            let dt: i64 = trow.iter().zip(&cd.diff).map(|(a, b)| a * b).sum();
-            if dt < 0 {
-                let mut delta: Vec<i64> = (0..rank - 1)
-                    .map(|i| {
-                        rows[i * rank..(i + 1) * rank]
-                            .iter()
-                            .zip(&cd.diff)
-                            .map(|(a, b)| a * b)
-                            .sum()
-                    })
-                    .collect();
-                delta.push(dt);
+            if image(rank - 1, &cd.diff) < 0 {
                 return Some(Err(CompileError::CausalityViolation {
                     var: cd.var_name.clone(),
-                    delta,
+                    delta: (0..rank).map(|i| image(i, &cd.diff)).collect(),
                 }));
             }
-            scratch.diff_moving[ix] = (0..rank - 1).any(|i| {
-                rows[i * rank..(i + 1) * rank]
-                    .iter()
-                    .zip(&cd.diff)
-                    .map(|(a, b)| a * b)
-                    .sum::<i64>()
-                    != 0
-            });
+            scratch.diff_moving[ix] = (0..rank - 1).any(|i| image(i, &cd.diff) != 0);
         }
 
         // Distinct physical wires: (var, src_pe, dst_pe) triples.
@@ -627,8 +629,8 @@ impl FoldScorer {
         let mut moving = 0usize;
         let mut stationary = 0usize;
         for j in 0..self.conn_var.len() {
-            let src = scratch.point_pe[self.conn_src[j] as usize] as u64;
-            let dst = scratch.point_pe[self.conn_dst[j] as usize] as u64;
+            let src = point_pe[self.conn_src[j] as usize] as u64;
+            let dst = point_pe[self.conn_dst[j] as usize] as u64;
             let key = (self.conn_var[j] as u64 * p + src) * p + dst;
             if scratch.conn_table.insert(key, 0).is_none() {
                 if scratch.diff_moving[self.conn_diff_ix[j] as usize] {
@@ -643,7 +645,7 @@ impl FoldScorer {
         scratch.io_table.begin();
         let mut io_ports = 0usize;
         for k in 0..self.io_point.len() {
-            let pe = scratch.point_pe[self.io_point[k] as usize] as u64;
+            let pe = point_pe[self.io_point[k] as usize] as u64;
             let key = self.io_group[k] as u64 * p + pe;
             if scratch.io_table.insert(key, 0).is_none() {
                 io_ports += 1;
@@ -651,11 +653,11 @@ impl FoldScorer {
         }
 
         Some(Ok(StructureSummary {
-            num_pes: num_pes as usize,
+            num_pes: scratch.points.num_pes,
             moving_conns: moving,
             stationary_conns: stationary,
             io_ports,
-            time_steps: if tmin <= tmax { tmax - tmin + 1 } else { 1 },
+            time_steps: tmax - tmin + 1,
         }))
     }
 }
@@ -713,22 +715,6 @@ mod tests {
             assert_eq!(t.insert(round, 9), Some(7));
             // Keys from earlier generations are gone.
             assert_eq!(t.insert(round.wrapping_sub(1), 1), None);
-        }
-    }
-
-    #[test]
-    fn det_flat_matches_intmat() {
-        use stellar_linalg::IntMat;
-        let cases: [&[i64]; 4] = [
-            &[1, 0, 0, 0, 1, 0, 1, 1, 1],
-            &[0, 0, 1, 0, 1, 0, 1, 1, 1],
-            &[1, 1, 1, 1, 1, 1, 0, 0, 1],
-            &[2, -1, 0, 1, 2, -2, 0, 1, 1],
-        ];
-        let mut buf = vec![0i128; 9];
-        for data in cases {
-            let m = IntMat::from_vec(3, 3, data.to_vec());
-            assert_eq!(det_flat(data, 3, &mut buf), m.det(), "{data:?}");
         }
     }
 }

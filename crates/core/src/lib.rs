@@ -78,8 +78,8 @@ pub use design::{
 pub use error::CompileError;
 pub use exec::{Executor, ProfiledRun, ScheduleProfile, ScheduledRun};
 pub use explore::{
-    explore_dataflows, explore_dataflows_profiled, explore_dataflows_reference,
-    explore_dataflows_reference_profiled, ExploreOptions, ExploreRun, ExploredDataflow,
+    explore_dataflows, explore_dataflows_profiled, explore_dataflows_reference, ExploreOptions,
+    ExploreRun, ExploredDataflow,
 };
 pub use expr::Expr;
 pub use fold::{summarize_array, ExploreFunnel, FoldScorer, FoldScratch, StructureSummary};

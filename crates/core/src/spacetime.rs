@@ -1,8 +1,22 @@
 //! Applying the space-time transform: from `IterationSpace` to a physical
 //! spatial array (§IV-B, Figure 9c).
+//!
+//! A fold has two halves. The **point mapping** sends every iteration
+//! point through `T`, rejects space-time collisions and names the PEs:
+//! the one packed kernel of [`crate::fold`] in production, hashed
+//! `Vec<i64>` coordinates in [`mod@reference`]. The **connection/IO fold**
+//! (causality, wire dedup, port map, access orders) consumes the point→PE
+//! and point→time tables and exists once, as a private function here.
 
 use std::collections::HashMap;
 use std::fmt;
+
+use crate::error::CompileError;
+use crate::fold::PointScratch;
+use crate::func::{Functionality, TensorId, VarId};
+use crate::iterspace::{AssignKind, IoDir, IterationSpace, PointId};
+use crate::regfile::AccessOrder;
+use crate::transform::SpaceTimeTransform;
 
 /// Per-tensor, per-direction access orders keyed for the regfile optimizer.
 type IoOrderMap = HashMap<(TensorId, IoDir), AccessOrder>;
@@ -10,12 +24,6 @@ type IoOrderMap = HashMap<(TensorId, IoDir), AccessOrder>;
 /// Time-stamped tensor coordinates, accumulated per `(tensor, dir)` while
 /// folding IO connections.
 type TimedCoords = Vec<(i64, Vec<i64>)>;
-
-use crate::error::CompileError;
-use crate::func::{Functionality, TensorId, VarId};
-use crate::iterspace::{AssignKind, IoDir, IterationSpace};
-use crate::regfile::AccessOrder;
-use crate::transform::SpaceTimeTransform;
 
 /// One physical PE of the transformed array: a spatial coordinate onto
 /// which one or more iteration points fold (different time steps of the
@@ -98,13 +106,13 @@ pub struct SpatialArray {
 impl SpatialArray {
     /// Folds an iteration space onto physical space and time.
     ///
-    /// Runs on flat SoA buffers: each point's space-time image is computed
-    /// with [`SpaceTimeTransform::apply_into`] into one reused buffer and
-    /// packed into a `u64` key for collision detection and PE identity —
-    /// no per-point `Vec` hashing. When the coordinates are too wide to
-    /// pack (see [`crate::fold`]) the fold falls back to the retained
-    /// [`reference`] implementation, which is always correct; the two are
-    /// proven byte-identical by `crates/core/tests/fold_equivalence.rs`.
+    /// The point mapping runs on the packed kernel of [`crate::fold`] —
+    /// `u64` keys in open-addressing tables, no per-point `Vec` hashing —
+    /// and PE coordinates, per-PE point and MAC counts are read off the
+    /// point→PE table it leaves behind. When the coordinates are too wide
+    /// to pack the fold falls back to the hashed point mapping of
+    /// [`mod@reference`], which is always correct; the two are proven
+    /// byte-identical by `crates/core/tests/fold_equivalence.rs`.
     ///
     /// # Errors
     ///
@@ -117,149 +125,43 @@ impl SpatialArray {
         func: &Functionality,
         transform: &SpaceTimeTransform,
     ) -> Result<SpatialArray, CompileError> {
-        if transform.rank() != is.bounds().rank() {
-            return Err(CompileError::InvalidTransform(format!(
-                "transform rank {} does not match iteration rank {}",
-                transform.rank(),
-                is.bounds().rank()
-            )));
-        }
-
+        check_rank(is, transform)?;
         let rank = transform.rank();
-        let mut rows = Vec::with_capacity(rank * rank);
-        for r in 0..rank {
-            rows.extend_from_slice(transform.matrix().row(r));
-        }
+        let n_points = is.num_points();
         let axis_abs: Vec<i64> = (0..rank).map(|d| is.bounds().abs_coord_bound(d)).collect();
-        let mut offsets = vec![0i64; rank];
-        let mut widths = vec![0u32; rank];
-        if crate::fold::packing_layout(&rows, rank, &axis_abs, &mut offsets, &mut widths).is_none()
-        {
-            return reference::from_iterspace(is, func, transform);
+        let mut scratch = PointScratch::new(rank, n_points);
+        let points = (0..n_points).map(|pid| is.point(PointId(pid)).coords());
+        match scratch.fold(&transform.flat_rows(), &axis_abs, points) {
+            Some(folded) => folded?,
+            None => return reference::from_iterspace(is, func, transform),
         }
 
-        // Map points to PEs, checking space-time collisions via packed
-        // keys in open-addressing tables.
-        let mut pes: Vec<Pe> = Vec::new();
-        let mut point_pe: Vec<usize> = Vec::with_capacity(is.num_points());
-        let mut point_time: Vec<i64> = Vec::with_capacity(is.num_points());
-        let mut st_table = crate::fold::ScratchTable::with_capacity(is.num_points());
-        let mut pe_table = crate::fold::ScratchTable::with_capacity(is.num_points());
-        st_table.begin();
-        pe_table.begin();
-        let mut st: Vec<i64> = Vec::with_capacity(rank);
-        let time_width = widths[rank - 1];
-        let mut tmin = i64::MAX;
-        let mut tmax = i64::MIN;
-
-        for pid in 0..is.num_points() {
-            let point = is.point(crate::iterspace::PointId(pid));
-            transform.apply_into(point.coords(), &mut st);
-            let mut key = 0u64;
-            for (i, &v) in st.iter().enumerate() {
-                key = (key << widths[i]) | (v + offsets[i]) as u64;
-            }
-            if st_table.insert(key, 0).is_some() {
-                return Err(CompileError::SpaceTimeCollision { coord: st });
-            }
-            let time = st[rank - 1];
-            tmin = tmin.min(time);
-            tmax = tmax.max(time);
-            let next = pes.len() as u32;
-            let pe_id = match pe_table.insert(key >> time_width, next) {
-                Some(existing) => existing as usize,
-                None => {
-                    pes.push(Pe {
-                        coords: st[..rank - 1].to_vec(),
-                        num_points: 0,
-                        macs: 0,
-                    });
-                    pes.len() - 1
-                }
-            };
-            pes[pe_id].num_points += 1;
-            let macs: usize = is
-                .assignments(crate::iterspace::PointId(pid))
-                .iter()
-                .filter(|a| a.kind == AssignKind::Compute)
-                .map(|a| func.assigns()[a.source].rhs.num_muls())
-                .sum();
-            pes[pe_id].macs += macs;
-            point_pe.push(pe_id);
-            point_time.push(time);
-        }
-
-        // Fold connections, checking causality and deduplicating wires.
-        let mut conn_map: HashMap<(VarId, usize, usize), PhysConn> = HashMap::new();
-        for conn in is.conns() {
-            let dt = transform.time_delta(&conn.diff);
-            if dt < 0 {
-                return Err(CompileError::CausalityViolation {
-                    var: func.var_name(conn.var).to_string(),
-                    delta: {
-                        let mut d = transform.space_delta(&conn.diff);
-                        d.push(dt);
-                        d
-                    },
+        // PE ids were handed out in point order, so a PE's first point is
+        // the one whose id equals the number of PEs seen so far.
+        let mut pes: Vec<Pe> = Vec::with_capacity(scratch.num_pes);
+        let mut point_pe: Vec<usize> = Vec::with_capacity(n_points);
+        for (pid, &pe) in scratch.point_pe.iter().enumerate() {
+            let pe = pe as usize;
+            if pe == pes.len() {
+                pes.push(Pe {
+                    coords: transform.space_of(is.point(PointId(pid)).coords()),
+                    num_points: 0,
+                    macs: 0,
                 });
             }
-            let src_pe = point_pe[conn.src.0];
-            let dst_pe = point_pe[conn.dst.0];
-            let entry = conn_map
-                .entry((conn.var, src_pe, dst_pe))
-                .or_insert_with(|| PhysConn {
-                    var: conn.var,
-                    src_pe,
-                    dst_pe,
-                    dspace: transform.space_delta(&conn.diff),
-                    registers: dt,
-                    bundle: conn.bundle,
-                    multiplicity: 0,
-                });
-            entry.multiplicity += 1;
-            entry.bundle = entry.bundle.max(conn.bundle);
+            pes[pe].num_points += 1;
+            pes[pe].macs += point_macs(is, func, pid);
+            point_pe.push(pe);
         }
-        let mut conns: Vec<PhysConn> = conn_map.into_values().collect();
-        conns.sort_by_key(|a| (a.var.0, a.src_pe, a.dst_pe));
-
-        // Fold IO connections into per-PE ports and per-tensor access
-        // orders (for the regfile optimizer).
-        let mut port_map: HashMap<(TensorId, IoDir, usize), usize> = HashMap::new();
-        let mut order_map: HashMap<(TensorId, IoDir), TimedCoords> = HashMap::new();
-        for io in is.io_conns() {
-            let pe = point_pe[io.point.0];
-            *port_map.entry((io.tensor, io.dir, pe)).or_insert(0) += 1;
-            order_map
-                .entry((io.tensor, io.dir))
-                .or_default()
-                .push((point_time[io.point.0], io.coords.clone()));
-        }
-        let mut io_ports: Vec<PhysIoPort> = port_map
-            .into_iter()
-            .map(|((tensor, dir, pe), accesses)| PhysIoPort {
-                tensor,
-                dir,
-                pe,
-                accesses,
-            })
-            .collect();
-        io_ports.sort_by_key(|a| (a.tensor.0, a.pe, a.dir == IoDir::Write));
-        let io_orders = order_map
-            .into_iter()
-            .map(|(k, mut seq)| {
-                seq.sort();
-                (k, AccessOrder::new(seq))
-            })
-            .collect();
-
-        Ok(SpatialArray {
-            transform: transform.clone(),
+        fold_conns_and_io(
+            is,
+            func,
+            transform,
             pes,
-            conns,
-            io_ports,
-            io_orders,
-            time_range: if tmin <= tmax { (tmin, tmax) } else { (0, 0) },
-        })
+            &point_pe,
+            &scratch.point_time,
+            scratch.time_range,
+        )
     }
 
     /// The transform that produced this array.
@@ -314,6 +216,113 @@ impl SpatialArray {
     }
 }
 
+fn check_rank(is: &IterationSpace, transform: &SpaceTimeTransform) -> Result<(), CompileError> {
+    if transform.rank() != is.bounds().rank() {
+        return Err(CompileError::InvalidTransform(format!(
+            "transform rank {} does not match iteration rank {}",
+            transform.rank(),
+            is.bounds().rank()
+        )));
+    }
+    Ok(())
+}
+
+/// Multiplies the compute assignments of one point perform.
+fn point_macs(is: &IterationSpace, func: &Functionality, pid: usize) -> usize {
+    is.assignments(PointId(pid))
+        .iter()
+        .filter(|a| a.kind == AssignKind::Compute)
+        .map(|a| func.assigns()[a.source].rhs.num_muls())
+        .sum()
+}
+
+/// The second half of every fold, shared by the packed path and the
+/// [`mod@reference`]: checks causality in connection order, deduplicates
+/// wires and ports, collects access orders, and assembles the array from
+/// a finished point mapping (`point_pe`, `point_time`, and the first and
+/// last time step it saw).
+fn fold_conns_and_io(
+    is: &IterationSpace,
+    func: &Functionality,
+    transform: &SpaceTimeTransform,
+    pes: Vec<Pe>,
+    point_pe: &[usize],
+    point_time: &[i64],
+    time_range: (i64, i64),
+) -> Result<SpatialArray, CompileError> {
+    // Fold connections, checking causality and deduplicating wires.
+    let mut conn_map: HashMap<(VarId, usize, usize), PhysConn> = HashMap::new();
+    for conn in is.conns() {
+        let dt = transform.time_delta(&conn.diff);
+        if dt < 0 {
+            return Err(CompileError::CausalityViolation {
+                var: func.var_name(conn.var).to_string(),
+                delta: {
+                    let mut d = transform.space_delta(&conn.diff);
+                    d.push(dt);
+                    d
+                },
+            });
+        }
+        let src_pe = point_pe[conn.src.0];
+        let dst_pe = point_pe[conn.dst.0];
+        let entry = conn_map
+            .entry((conn.var, src_pe, dst_pe))
+            .or_insert_with(|| PhysConn {
+                var: conn.var,
+                src_pe,
+                dst_pe,
+                dspace: transform.space_delta(&conn.diff),
+                registers: dt,
+                bundle: conn.bundle,
+                multiplicity: 0,
+            });
+        entry.multiplicity += 1;
+        entry.bundle = entry.bundle.max(conn.bundle);
+    }
+    let mut conns: Vec<PhysConn> = conn_map.into_values().collect();
+    conns.sort_by_key(|a| (a.var.0, a.src_pe, a.dst_pe));
+
+    // Fold IO connections into per-PE ports and per-tensor access
+    // orders (for the regfile optimizer).
+    let mut port_map: HashMap<(TensorId, IoDir, usize), usize> = HashMap::new();
+    let mut order_map: HashMap<(TensorId, IoDir), TimedCoords> = HashMap::new();
+    for io in is.io_conns() {
+        let pe = point_pe[io.point.0];
+        *port_map.entry((io.tensor, io.dir, pe)).or_insert(0) += 1;
+        order_map
+            .entry((io.tensor, io.dir))
+            .or_default()
+            .push((point_time[io.point.0], io.coords.clone()));
+    }
+    let mut io_ports: Vec<PhysIoPort> = port_map
+        .into_iter()
+        .map(|((tensor, dir, pe), accesses)| PhysIoPort {
+            tensor,
+            dir,
+            pe,
+            accesses,
+        })
+        .collect();
+    io_ports.sort_by_key(|a| (a.tensor.0, a.pe, a.dir == IoDir::Write));
+    let io_orders: IoOrderMap = order_map
+        .into_iter()
+        .map(|(k, mut seq)| {
+            seq.sort();
+            (k, AccessOrder::new(seq))
+        })
+        .collect();
+
+    Ok(SpatialArray {
+        transform: transform.clone(),
+        pes,
+        conns,
+        io_ports,
+        io_orders,
+        time_range,
+    })
+}
+
 impl fmt::Display for SpatialArray {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -327,23 +336,25 @@ impl fmt::Display for SpatialArray {
     }
 }
 
-/// The original hash-based fold, retained verbatim as the in-tree
-/// equivalence oracle for the flat-buffer [`SpatialArray::from_iterspace`]
-/// and the [`crate::fold::FoldScorer`] fast path (the house pattern of the
-/// simulation engine's per-cycle references). Also the fallback when a
-/// fold's coordinates cannot be packed into 64-bit keys.
+/// The hashed point mapping: every point's image is a `Vec<i64>` in a
+/// `HashMap`/`HashSet`, with no packing layout to get wrong. It is the
+/// in-tree oracle for the packed kernel behind
+/// [`SpatialArray::from_iterspace`] and [`crate::fold::FoldScorer`] (the
+/// house pattern of the simulation engine's per-cycle references), and the
+/// fallback when a fold's coordinates cannot be packed into 64-bit keys.
+/// Only the point mapping is independent: the connection/IO half is the
+/// one private function both paths call.
 pub mod reference {
     use std::collections::{HashMap, HashSet};
 
-    use super::{IoOrderMap, Pe, PhysConn, PhysIoPort, SpatialArray, TimedCoords};
+    use super::{check_rank, fold_conns_and_io, point_macs, Pe, SpatialArray};
     use crate::error::CompileError;
-    use crate::func::{Functionality, TensorId, VarId};
-    use crate::iterspace::{AssignKind, IoDir, IterationSpace};
-    use crate::regfile::AccessOrder;
+    use crate::func::Functionality;
+    use crate::iterspace::{IterationSpace, PointId};
     use crate::transform::SpaceTimeTransform;
 
     /// Folds an iteration space onto physical space and time, hashing
-    /// `Vec<i64>` coordinates (the pre-fast-path implementation).
+    /// `Vec<i64>` coordinates.
     ///
     /// # Errors
     ///
@@ -353,13 +364,7 @@ pub mod reference {
         func: &Functionality,
         transform: &SpaceTimeTransform,
     ) -> Result<SpatialArray, CompileError> {
-        if transform.rank() != is.bounds().rank() {
-            return Err(CompileError::InvalidTransform(format!(
-                "transform rank {} does not match iteration rank {}",
-                transform.rank(),
-                is.bounds().rank()
-            )));
-        }
+        check_rank(is, transform)?;
 
         // Map points to PEs, checking space-time collisions.
         let mut pe_ids: HashMap<Vec<i64>, usize> = HashMap::new();
@@ -371,8 +376,7 @@ pub mod reference {
         let mut tmax = i64::MIN;
 
         for pid in 0..is.num_points() {
-            let point = is.point(crate::iterspace::PointId(pid));
-            let st = transform.apply(point.coords());
+            let st = transform.apply(is.point(PointId(pid)).coords());
             if !seen_st.insert(st.clone()) {
                 return Err(CompileError::SpaceTimeCollision { coord: st });
             }
@@ -388,88 +392,19 @@ pub mod reference {
                 pes.len() - 1
             });
             pes[pe_id].num_points += 1;
-            let macs: usize = is
-                .assignments(crate::iterspace::PointId(pid))
-                .iter()
-                .filter(|a| a.kind == AssignKind::Compute)
-                .map(|a| func.assigns()[a.source].rhs.num_muls())
-                .sum();
-            pes[pe_id].macs += macs;
+            pes[pe_id].macs += point_macs(is, func, pid);
             point_pe.push(pe_id);
             point_time.push(time);
         }
-
-        // Fold connections, checking causality and deduplicating wires.
-        let mut conn_map: HashMap<(VarId, usize, usize), PhysConn> = HashMap::new();
-        for conn in is.conns() {
-            let dt = transform.time_delta(&conn.diff);
-            if dt < 0 {
-                return Err(CompileError::CausalityViolation {
-                    var: func.var_name(conn.var).to_string(),
-                    delta: {
-                        let mut d = transform.space_delta(&conn.diff);
-                        d.push(dt);
-                        d
-                    },
-                });
-            }
-            let src_pe = point_pe[conn.src.0];
-            let dst_pe = point_pe[conn.dst.0];
-            let entry = conn_map
-                .entry((conn.var, src_pe, dst_pe))
-                .or_insert_with(|| PhysConn {
-                    var: conn.var,
-                    src_pe,
-                    dst_pe,
-                    dspace: transform.space_delta(&conn.diff),
-                    registers: dt,
-                    bundle: conn.bundle,
-                    multiplicity: 0,
-                });
-            entry.multiplicity += 1;
-            entry.bundle = entry.bundle.max(conn.bundle);
-        }
-        let mut conns: Vec<PhysConn> = conn_map.into_values().collect();
-        conns.sort_by_key(|a| (a.var.0, a.src_pe, a.dst_pe));
-
-        // Fold IO connections into per-PE ports and per-tensor access
-        // orders (for the regfile optimizer).
-        let mut port_map: HashMap<(TensorId, IoDir, usize), usize> = HashMap::new();
-        let mut order_map: HashMap<(TensorId, IoDir), TimedCoords> = HashMap::new();
-        for io in is.io_conns() {
-            let pe = point_pe[io.point.0];
-            *port_map.entry((io.tensor, io.dir, pe)).or_insert(0) += 1;
-            order_map
-                .entry((io.tensor, io.dir))
-                .or_default()
-                .push((point_time[io.point.0], io.coords.clone()));
-        }
-        let mut io_ports: Vec<PhysIoPort> = port_map
-            .into_iter()
-            .map(|((tensor, dir, pe), accesses)| PhysIoPort {
-                tensor,
-                dir,
-                pe,
-                accesses,
-            })
-            .collect();
-        io_ports.sort_by_key(|a| (a.tensor.0, a.pe, a.dir == IoDir::Write));
-        let io_orders: IoOrderMap = order_map
-            .into_iter()
-            .map(|(k, mut seq)| {
-                seq.sort();
-                (k, AccessOrder::new(seq))
-            })
-            .collect();
-
-        Ok(SpatialArray {
-            transform: transform.clone(),
+        fold_conns_and_io(
+            is,
+            func,
+            transform,
             pes,
-            conns,
-            io_ports,
-            io_orders,
-            time_range: if tmin <= tmax { (tmin, tmax) } else { (0, 0) },
-        })
+            &point_pe,
+            &point_time,
+            if tmin <= tmax { (tmin, tmax) } else { (0, 0) },
+        )
     }
 }
 

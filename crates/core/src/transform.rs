@@ -160,6 +160,14 @@ impl SpaceTimeTransform {
         &self.mat
     }
 
+    /// The matrix as one flat row-major buffer — the form the point fold
+    /// and the scorers take candidates in.
+    pub(crate) fn flat_rows(&self) -> Vec<i64> {
+        (0..self.rank())
+            .flat_map(|r| self.mat.row(r).iter().copied())
+            .collect()
+    }
+
     /// The exact inverse.
     pub fn inverse(&self) -> &RatMat {
         &self.inv

@@ -5,9 +5,8 @@
 //! so any field drift (not just ordering) fails loudly.
 
 use stellar_core::{
-    explore_dataflows, explore_dataflows_profiled, explore_dataflows_reference,
-    explore_dataflows_reference_profiled, Bounds, ExploreFunnel, ExploreOptions, ExploredDataflow,
-    Functionality,
+    explore_dataflows, explore_dataflows_profiled, explore_dataflows_reference, Bounds,
+    ExploreFunnel, ExploreOptions, ExploredDataflow, Functionality,
 };
 
 fn sweep_opts(max_coeff: i64, parallelism: usize) -> ExploreOptions {
@@ -28,7 +27,9 @@ fn sweep(max_coeff: i64, parallelism: usize) -> Vec<ExploredDataflow> {
 fn reference_sweep(max_coeff: i64) -> Vec<ExploredDataflow> {
     let f = Functionality::matmul(3, 3, 3);
     let opts = sweep_opts(max_coeff, 1);
-    explore_dataflows_reference(&f, &Bounds::from_extents(&[3, 3, 3]), &opts).unwrap()
+    explore_dataflows_reference(&f, &Bounds::from_extents(&[3, 3, 3]), &opts)
+        .unwrap()
+        .results
 }
 
 fn byte_image(results: &[ExploredDataflow]) -> String {
@@ -73,7 +74,9 @@ fn fast_path_is_byte_equal_to_reference_fold_at_max_coeff_1() {
     for n in [3usize, 4] {
         let f = Functionality::matmul(n, n, n);
         let bounds = Bounds::from_extents(&[n, n, n]);
-        let oracle = explore_dataflows_reference(&f, &bounds, &sweep_opts(1, 1)).unwrap();
+        let oracle = explore_dataflows_reference(&f, &bounds, &sweep_opts(1, 1))
+            .unwrap()
+            .results;
         assert!(!oracle.is_empty());
         for parallelism in [0, 1, 2, 5] {
             let fast = explore_dataflows(&f, &bounds, &sweep_opts(1, parallelism)).unwrap();
@@ -128,7 +131,7 @@ fn funnel_is_deterministic_and_matches_the_oracle() {
         );
         assert_eq!(byte_image(&run.results), byte_image(&serial.results));
     }
-    let oracle = explore_dataflows_reference_profiled(&f, &bounds, &sweep_opts(1, 1)).unwrap();
+    let oracle = explore_dataflows_reference(&f, &bounds, &sweep_opts(1, 1)).unwrap();
     oracle.funnel.check().unwrap();
     assert_eq!(oracle.funnel.pack_fallback, 0);
     assert_eq!(oracle.funnel.analytic_scored, 0);
@@ -213,7 +216,7 @@ fn wide_offset_bounds_exercise_pack_fallback_and_stay_exact() {
         fold.funnel
     );
     assert!(!fold.results.is_empty());
-    let oracle = explore_dataflows_reference_profiled(&f, &bounds, &opts).unwrap();
+    let oracle = explore_dataflows_reference(&f, &bounds, &opts).unwrap();
     assert_eq!(
         byte_image(&fold.results),
         byte_image(&oracle.results),

@@ -9,13 +9,13 @@
 //! and transform matrices through all three implementations.
 
 use proptest::prelude::*;
+use stellar_core::index::{at, shifted, IdxExpr};
 use stellar_core::iterspace::IoDir;
 use stellar_core::prelude::*;
 use stellar_core::spacetime::reference;
 use stellar_core::{
     explore_dataflows, explore_dataflows_reference, summarize_array, AnalyticScorer,
     AnalyticScratch, ExploreOptions, FoldScorer, FoldScratch, IterationSpace, SpatialArray,
-    StructureSummary,
 };
 use stellar_linalg::IntMat;
 
@@ -53,64 +53,115 @@ fn canonical_image(arr: &SpatialArray, func: &Functionality) -> String {
     img
 }
 
-fn summary_of(e: &stellar_core::ExploredDataflow) -> StructureSummary {
-    StructureSummary {
-        num_pes: e.num_pes,
-        moving_conns: e.moving_conns,
-        stationary_conns: e.stationary_conns,
-        io_ports: e.io_ports,
-        time_steps: e.time_steps,
+/// A running sum along the last of `rank` indices,
+/// `y(i0, ..) = Σ_last x(i0, .., last)`: one recurrence, one input and one
+/// output tensor, at any rank — what takes the point fold off its unrolled
+/// rank-3 arm.
+fn prefix_sum(rank: usize) -> Functionality {
+    let mut f = Functionality::new(format!("prefix_sum_r{rank}"));
+    let idxs: Vec<_> = (0..rank).map(|i| f.index(format!("i{i}"))).collect();
+    let last = idxs[rank - 1];
+    let x = f.input_tensor("x", &idxs);
+    let y = f.output_tensor("y", &idxs[..rank - 1]);
+    let v = f.var("v");
+    let here: Vec<_> = idxs.iter().map(|&i| at(i)).collect();
+    let with_last = |e| {
+        let mut ixs = here.clone();
+        ixs[rank - 1] = e;
+        ixs
+    };
+    f.assign(
+        v,
+        with_last(IdxExpr::Lower(last)),
+        Expr::Input(x, here.clone()),
+    );
+    f.assign(
+        v,
+        here.clone(),
+        Expr::add(
+            Expr::Var(v, with_last(shifted(last, -1))),
+            Expr::Input(x, here.clone()),
+        ),
+    );
+    f.output(
+        y,
+        here[..rank - 1].to_vec(),
+        Expr::Var(v, with_last(IdxExpr::Upper(last))),
+    );
+    f
+}
+
+/// For one candidate matrix over one space: the scorer returns exactly
+/// what the reference fold computes — key-equal summaries on success, the
+/// byte-identical `CompileError` on collision or causality rejects — and
+/// the flat-buffer fold agrees with the reference fold on the full array
+/// image, not just the summary.
+fn check_against_reference(
+    f: &Functionality,
+    extents: &[usize],
+    entries: Vec<i64>,
+) -> Result<(), TestCaseError> {
+    let rank = extents.len();
+    let is = IterationSpace::elaborate(f, &Bounds::from_extents(extents)).unwrap();
+    let mat = IntMat::from_vec(rank, rank, entries);
+    if mat.det() == 0 {
+        return Ok(()); // the search rejects singular matrices before scoring
     }
+    let t = SpaceTimeTransform::new(mat).unwrap();
+
+    let scorer = FoldScorer::new(&is, f);
+    let mut scratch = FoldScratch::for_scorer(&scorer);
+    let scored = scorer.score(&t, &mut scratch);
+    prop_assert!(scored.is_some(), "small folds must be packable");
+
+    let oracle = reference::from_iterspace(&is, f, &t);
+    let flat = SpatialArray::from_iterspace(&is, f, &t);
+    match (scored.unwrap(), oracle) {
+        (Ok(summary), Ok(ref_arr)) => {
+            prop_assert_eq!(summary, summarize_array(&ref_arr));
+            let flat_arr = flat.unwrap();
+            prop_assert_eq!(summary, summarize_array(&flat_arr));
+            prop_assert_eq!(canonical_image(&flat_arr, f), canonical_image(&ref_arr, f));
+        }
+        (Err(scorer_err), Err(ref_err)) => {
+            prop_assert_eq!(&scorer_err, &ref_err);
+            prop_assert_eq!(flat.unwrap_err(), ref_err);
+        }
+        (scored, oracle) => {
+            return Err(TestCaseError::fail(format!(
+                "scorer and reference disagree: {scored:?} vs {oracle:?}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// For every invertible candidate the scorer returns exactly what the
-    /// reference fold computes: key-equal summaries on success, and the
-    /// byte-identical `CompileError` on collision or causality rejects.
-    /// The flat-buffer fold agrees with the reference fold on the full
-    /// array image, not just the summary.
+    /// The unrolled rank-3 arm of the point fold, on matmul (three
+    /// recurrences, three tensors).
     #[test]
     fn scorer_and_flat_fold_match_reference(
         (m, n, k) in small_dims(),
         entries in candidate_matrix(),
     ) {
-        let f = Functionality::matmul(m, n, k);
-        let is = IterationSpace::elaborate(&f, &Bounds::from_extents(&[m, n, k])).unwrap();
-        let mat = IntMat::from_vec(3, 3, entries);
-        if mat.det() == 0 {
-            return Ok(()); // the search rejects singular matrices before scoring
-        }
-        let t = SpaceTimeTransform::new(mat).unwrap();
+        check_against_reference(&Functionality::matmul(m, n, k), &[m, n, k], entries)?;
+    }
 
-        let scorer = FoldScorer::new(&is, &f);
-        let mut scratch = FoldScratch::for_scorer(&scorer);
-        let scored = scorer.score(&t, &mut scratch);
-        prop_assert!(scored.is_some(), "matmul folds must be packable");
-
-        let oracle = reference::from_iterspace(&is, &f, &t);
-        let flat = SpatialArray::from_iterspace(&is, &f, &t);
-        match (scored.unwrap(), oracle) {
-            (Ok(summary), Ok(ref_arr)) => {
-                prop_assert_eq!(summary, summarize_array(&ref_arr));
-                let flat_arr = flat.unwrap();
-                prop_assert_eq!(summary, summarize_array(&flat_arr));
-                prop_assert_eq!(
-                    canonical_image(&flat_arr, &f),
-                    canonical_image(&ref_arr, &f)
-                );
-            }
-            (Err(scorer_err), Err(ref_err)) => {
-                prop_assert_eq!(&scorer_err, &ref_err);
-                prop_assert_eq!(flat.unwrap_err(), ref_err);
-            }
-            (scored, oracle) => {
-                return Err(TestCaseError::fail(format!(
-                    "scorer and reference disagree: {scored:?} vs {oracle:?}"
-                )));
-            }
-        }
+    /// The generic arm (ranks 2 and 5) and the unrolled rank-4 arm, on a
+    /// running sum of that rank.
+    #[test]
+    fn scorer_and_flat_fold_match_reference_at_other_ranks(
+        rank in proptest::sample::select(vec![2usize, 4, 5]),
+        dims in proptest::collection::vec(1usize..=3, 5),
+        entries in proptest::collection::vec(-2i64..=2, 25),
+    ) {
+        check_against_reference(
+            &prefix_sum(rank),
+            &dims[..rank],
+            entries[..rank * rank].to_vec(),
+        )?;
     }
 
     /// The analytical scoring tier agrees with the exact integer fold on
@@ -178,13 +229,13 @@ proptest! {
             ..ExploreOptions::default()
         };
         let fast = explore_dataflows(&f, &bounds, &opts).unwrap();
-        let oracle = explore_dataflows_reference(&f, &bounds, &opts).unwrap();
+        let oracle = explore_dataflows_reference(&f, &bounds, &opts).unwrap().results;
         prop_assert_eq!(&fast, &oracle);
 
         let is = IterationSpace::elaborate(&f, &bounds).unwrap();
         for e in &fast {
             let arr = e.materialize(&is, &f).unwrap();
-            prop_assert_eq!(summary_of(e), summarize_array(&arr));
+            prop_assert_eq!(e.summary(), summarize_array(&arr));
         }
     }
 }

@@ -8,8 +8,11 @@
 //! tensor iterators), so this crate provides exact arithmetic:
 //!
 //! * [`Rational`] — a normalized `i64`-backed rational number.
-//! * [`IntMat`] — a dense integer matrix with exact determinant (Bareiss
-//!   fraction-free elimination) and adjugate-based inverse.
+//! * [`IntMat`] — a dense integer matrix with exact determinant and
+//!   adjugate-based inverse.
+//! * [`bareiss_det`] — the one determinant kernel (Bareiss fraction-free
+//!   elimination into a caller buffer), shared by [`IntMat::det`], the
+//!   dataflow scan's singularity test and the analytic tier's cofactors.
 //! * [`RatMat`] — a dense rational matrix, used for inverses.
 //! * [`IntVec`] — convenience alias plus helpers for lattice vectors.
 //!
@@ -31,6 +34,6 @@ mod matrix;
 mod rational;
 mod vector;
 
-pub use matrix::{IntMat, RatMat};
+pub use matrix::{bareiss_det, IntMat, RatMat};
 pub use rational::Rational;
 pub use vector::{add, dot, is_zero, scale, sub, IntVec};

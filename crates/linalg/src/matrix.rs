@@ -164,41 +164,16 @@ impl IntMat {
         out
     }
 
-    /// Exact determinant via the Bareiss fraction-free algorithm.
+    /// Exact determinant ([`bareiss_det`]).
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not square.
+    /// Panics if the matrix is not square or the determinant does not fit
+    /// in `i64`.
     pub fn det(&self) -> i64 {
         assert!(self.is_square(), "determinant requires a square matrix");
-        let n = self.rows;
-        let mut m: Vec<i128> = self.data.iter().map(|&x| x as i128).collect();
-        let mut sign = 1i128;
-        let mut prev = 1i128;
-        for k in 0..n.saturating_sub(1) {
-            // Pivot if needed.
-            if m[k * n + k] == 0 {
-                let swap = (k + 1..n).find(|&r| m[r * n + k] != 0);
-                match swap {
-                    Some(r) => {
-                        for c in 0..n {
-                            m.swap(k * n + c, r * n + c);
-                        }
-                        sign = -sign;
-                    }
-                    None => return 0,
-                }
-            }
-            for i in k + 1..n {
-                for j in k + 1..n {
-                    m[i * n + j] =
-                        (m[i * n + j] * m[k * n + k] - m[i * n + k] * m[k * n + j]) / prev;
-                }
-                m[i * n + k] = 0;
-            }
-            prev = m[k * n + k];
-        }
-        (sign * m[n * n - 1]) as i64
+        let mut buf = vec![0i128; self.data.len()];
+        bareiss_det(&self.data, self.rows, &mut buf).expect("determinant overflows i64")
     }
 
     /// The minor matrix with row `r` and column `c` removed.
@@ -261,6 +236,50 @@ impl IntMat {
     pub fn is_invertible(&self) -> bool {
         self.is_square() && self.det() != 0
     }
+}
+
+/// Exact determinant of a flat row-major `n × n` matrix by Bareiss
+/// fraction-free elimination, in the caller's `buf` (at least `n²` long)
+/// so a scan over millions of matrices allocates nothing. `None` when the
+/// determinant leaves `i64`.
+///
+/// Intermediates (leading minors and products of two of them) are held
+/// in `i128` and not checked, so the result is exact whenever every minor
+/// fits `i64`. `#[inline]` because the workspace builds without LTO and
+/// the dataflow scan calls this once per candidate.
+#[inline]
+pub fn bareiss_det(rows: &[i64], n: usize, buf: &mut [i128]) -> Option<i64> {
+    debug_assert_eq!(rows.len(), n * n);
+    if n == 0 {
+        return Some(1);
+    }
+    let m = &mut buf[..n * n];
+    for (b, &v) in m.iter_mut().zip(rows) {
+        *b = v as i128;
+    }
+    let mut sign = 1i128;
+    let mut prev = 1i128;
+    for k in 0..n - 1 {
+        if m[k * n + k] == 0 {
+            match (k + 1..n).find(|&r| m[r * n + k] != 0) {
+                Some(r) => {
+                    for c in 0..n {
+                        m.swap(k * n + c, r * n + c);
+                    }
+                    sign = -sign;
+                }
+                None => return Some(0),
+            }
+        }
+        for i in k + 1..n {
+            for j in k + 1..n {
+                m[i * n + j] = (m[i * n + j] * m[k * n + k] - m[i * n + k] * m[k * n + j]) / prev;
+            }
+            m[i * n + k] = 0;
+        }
+        prev = m[k * n + k];
+    }
+    i64::try_from(sign * m[n * n - 1]).ok()
 }
 
 impl std::ops::Index<(usize, usize)> for IntMat {

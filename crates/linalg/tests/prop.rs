@@ -1,13 +1,64 @@
 //! Property-based tests for exact linear algebra invariants.
 
 use proptest::prelude::*;
-use stellar_linalg::{IntMat, Rational};
+use stellar_linalg::{bareiss_det, IntMat, Rational};
 
 fn small_mat(n: usize) -> impl Strategy<Value = IntMat> {
     proptest::collection::vec(-5i64..=5, n * n).prop_map(move |data| IntMat::from_vec(n, n, data))
 }
 
+/// Laplace expansion along the first row: the textbook definition, sharing
+/// no step with Bareiss elimination.
+fn cofactor_det(m: &[i128], n: usize) -> i128 {
+    if n == 0 {
+        return 1;
+    }
+    (0..n)
+        .map(|col| {
+            let minor: Vec<i128> = (1..n)
+                .flat_map(|r| (0..n).filter(move |&c| c != col).map(move |c| m[r * n + c]))
+                .collect();
+            let sign = if col % 2 == 0 { 1 } else { -1 };
+            sign * m[col] * cofactor_det(&minor, n - 1)
+        })
+        .sum()
+}
+
+#[test]
+fn bareiss_det_reports_overflow_as_none() {
+    let mut buf = [0i128; 4];
+    // det = 2^64 leaves i64; one bit less still fits.
+    let big = 1i64 << 32;
+    assert_eq!(bareiss_det(&[big, 0, 0, big], 2, &mut buf), None);
+    assert_eq!(
+        bareiss_det(&[big, 0, 0, big / 4], 2, &mut buf),
+        Some(1 << 62)
+    );
+    assert_eq!(bareiss_det(&[], 0, &mut buf), Some(1));
+}
+
 proptest! {
+    #[test]
+    fn bareiss_det_matches_cofactor_expansion(
+        n in 1usize..=5,
+        entries in proptest::collection::vec(-9i64..=9, 25),
+    ) {
+        // Zero-heavy matrices (every third entry cleared) exercise the
+        // pivot search and the singular early return.
+        for sparse in [false, true] {
+            let rows: Vec<i64> = entries[..n * n]
+                .iter()
+                .enumerate()
+                .map(|(i, &e)| if sparse && i % 3 == 0 { 0 } else { e })
+                .collect();
+            let wide: Vec<i128> = rows.iter().map(|&e| e as i128).collect();
+            let want = i64::try_from(cofactor_det(&wide, n)).ok();
+            let mut buf = vec![0i128; n * n];
+            prop_assert_eq!(bareiss_det(&rows, n, &mut buf), want, "{:?}", rows);
+            prop_assert_eq!(Some(IntMat::from_vec(n, n, rows).det()), want);
+        }
+    }
+
     #[test]
     fn rational_add_commutes(a in -50i64..50, b in 1i64..50, c in -50i64..50, d in 1i64..50) {
         let x = Rational::new(a, b);
