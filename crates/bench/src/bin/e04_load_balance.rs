@@ -59,7 +59,8 @@ fn main() -> Result<(), CompileError> {
                 Watchdog::default_budget(),
                 &mut tracer,
             )
-            .expect("sparse simulation");
+            .expect("sparse simulation")
+            .0;
             (r, tracer)
         })
         .collect();

@@ -16,9 +16,9 @@ use stellar_area::{ecc_area_overhead_fraction, secded_access_energy_ratio, Techn
 use stellar_bench::Report;
 use stellar_core::prelude::*;
 use stellar_sim::{
-    simulate_sparse_matmul_faulty, simulate_ws_matmul, simulate_ws_matmul_faulty, BalancePolicy,
+    simulate_sparse_matmul_traced, simulate_ws_matmul, simulate_ws_matmul_traced, BalancePolicy,
     CycleBreakdown, DmaModel, FaultInjector, FaultPlan, RetryPolicy, RunOutcome, SimError,
-    SparseArrayParams, StallClass, Watchdog,
+    SparseArrayParams, StallClass, Tracer, Watchdog,
 };
 use stellar_tensor::gen;
 
@@ -48,11 +48,12 @@ fn systolic_sweep(out: &mut String) -> (u64, u64, CycleBreakdown) {
 
     // Acceptance: the zero-fault plan reproduces the baseline exactly —
     // same product, same cycle count, no RNG disturbance.
-    let zero = simulate_ws_matmul_faulty(
+    let zero = simulate_ws_matmul_traced(
         &a,
         &b,
         &mut FaultInjector::new(FaultPlan::none()),
         Watchdog::default_budget(),
+        &mut Tracer::disabled(),
     )
     .expect("zero-fault ws sim");
     assert_eq!(zero.product, golden.product, "zero-fault product drifted");
@@ -84,7 +85,13 @@ fn systolic_sweep(out: &mut String) -> (u64, u64, CycleBreakdown) {
                         plan = plan.with_ecc();
                     }
                     let mut inj = FaultInjector::new(plan);
-                    match simulate_ws_matmul_faulty(&a, &b, &mut inj, Watchdog::default_budget()) {
+                    match simulate_ws_matmul_traced(
+                        &a,
+                        &b,
+                        &mut inj,
+                        Watchdog::default_budget(),
+                        &mut Tracer::disabled(),
+                    ) {
                         Ok(r) => RunOutcome::classify(&inj.counts, r.product == golden.product),
                         Err(_) => RunOutcome::Hung,
                     }
@@ -134,7 +141,7 @@ fn stuck_lane_sweep(out: &mut String) {
     ] {
         let mut plan = FaultPlan::none();
         plan.stuck_lane = Some(0);
-        let r = simulate_sparse_matmul_faulty(
+        let r = simulate_sparse_matmul_traced(
             &b,
             &SparseArrayParams {
                 lanes: 8,
@@ -143,9 +150,10 @@ fn stuck_lane_sweep(out: &mut String) {
             },
             &mut FaultInjector::new(plan),
             Watchdog::default_budget(),
+            &mut Tracer::disabled(),
         );
         let verdict = match r {
-            Ok(res) => format!("completes in {} cycles", res.stats.cycles),
+            Ok((res, _)) => format!("completes in {} cycles", res.stats.cycles),
             Err(SimError::Deadlock { cycle, .. }) => {
                 format!("DEADLOCK detected at cycle {cycle}")
             }

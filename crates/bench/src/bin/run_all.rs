@@ -184,7 +184,7 @@ fn validate_out_dir(dir: &std::path::Path) -> usize {
             continue;
         };
         if !durable::is_envelope(&body) {
-            continue; // traces and legacy files are bare JSON by design
+            continue; // traces are bare JSON by design
         }
         checked += 1;
         match durable::unseal(&body) {

@@ -33,7 +33,6 @@ use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
-use rayon::prelude::*;
 use rayon::PoolStats;
 use stellar_core::cache::{parse_cache_entry, render_cache_entry, QueryKey};
 use stellar_core::{
@@ -285,16 +284,6 @@ impl DesignCache {
         opts: &ExploreOptions,
     ) -> Result<ExploreRun, CompileError> {
         let key = QueryKey::of(func, bounds, opts);
-        self.explore_keyed(&key, func, bounds, opts)
-    }
-
-    fn explore_keyed(
-        &self,
-        key: &QueryKey,
-        func: &Functionality,
-        bounds: &Bounds,
-        opts: &ExploreOptions,
-    ) -> Result<ExploreRun, CompileError> {
         let role = {
             let mut g = self.inner.lock().expect("cache lock");
             if let Some(v) = g.map.get(key.hex()) {
@@ -324,7 +313,7 @@ impl DesignCache {
                 drop(g);
                 Ok(hit_run(&v, true))
             }
-            Role::Lead(f, nonce) => self.lead(key, func, bounds, opts, &f, &nonce),
+            Role::Lead(f, nonce) => self.lead(&key, func, bounds, opts, &f, &nonce),
             Role::Bypass => {
                 let mut run = explore_dataflows_profiled(func, bounds, opts)?;
                 run.funnel.cache_misses = 1;
@@ -412,70 +401,10 @@ impl DesignCache {
             funnel: entry.funnel,
         }))
     }
-
-    /// Runs a batch of queries, deduplicated and sharded across the
-    /// work-stealing pool: one leader per *distinct* key computes (or
-    /// loads) in parallel, and duplicate requests are served from the
-    /// leader's answer as coalesced hits. Result order matches `queries`.
-    pub fn run_batch(&self, queries: &[DesignQuery]) -> Vec<Result<ExploreRun, CompileError>> {
-        let keys: Vec<QueryKey> = queries
-            .iter()
-            .map(|q| QueryKey::of(&q.func, &q.bounds, &q.opts))
-            .collect();
-        // Leaders: the first request holding each distinct canonical
-        // query. Explicit dedup keeps the stats deterministic regardless
-        // of pool timing (single-flight would dedup racily anyway).
-        let mut leader_of: HashMap<&str, usize> = HashMap::new();
-        let mut leaders: Vec<usize> = Vec::new();
-        for (n, k) in keys.iter().enumerate() {
-            leader_of.entry(k.canon()).or_insert_with(|| {
-                leaders.push(n);
-                n
-            });
-        }
-        let led: Vec<Result<ExploreRun, CompileError>> = leaders
-            .par_iter()
-            .map(|&n| {
-                self.explore_keyed(
-                    &keys[n],
-                    &queries[n].func,
-                    &queries[n].bounds,
-                    &queries[n].opts,
-                )
-            })
-            .try_collect_vec()
-            .unwrap_or_else(|p| panic!("design-cache batch worker panicked: {}", p.message));
-        let slot_of: HashMap<usize, usize> =
-            leaders.iter().enumerate().map(|(s, &n)| (n, s)).collect();
-        let mut out = Vec::with_capacity(queries.len());
-        for (n, k) in keys.iter().enumerate() {
-            let leader = leader_of[k.canon()];
-            let r = &led[slot_of[&leader]];
-            if n == leader {
-                out.push(r.clone());
-            } else {
-                // A duplicate of an already-answered request: a
-                // coalesced hit on the leader's result.
-                out.push(r.clone().map(|mut run| {
-                    run.funnel.cache_hits = 1;
-                    run.funnel.cache_misses = 0;
-                    run.funnel.coalesced = 1;
-                    run.workers = PoolStats::serial(0, 0.0);
-                    run
-                }));
-                if r.is_ok() {
-                    let mut g = self.inner.lock().expect("cache lock");
-                    g.stats.hits += 1;
-                    g.stats.coalesced += 1;
-                }
-            }
-        }
-        out
-    }
 }
 
-/// One request of a batched exploration (what one `stellar_serve` line
-/// decodes to).
+/// One exploration request (what one `stellar_serve` query line decodes
+/// to).
 #[derive(Clone, Debug)]
 pub struct DesignQuery {
     /// The functional specification.

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const ENVELOPE_SCHEMA: &str = "stellar-envelope-v1";
 
 /// The exact prefix every sealed file starts with — also the sniff used
-/// to distinguish envelopes from legacy bare-JSON reports.
+/// to distinguish envelopes from bare-JSON files such as Chrome traces.
 pub const ENVELOPE_PREFIX: &str = "{\"stellar_envelope\":\"";
 
 /// CRC-32 (IEEE 802.3, the zlib/`cksum -o3` polynomial), bit-reflected,
@@ -262,7 +262,8 @@ pub fn seal(payload: &str) -> String {
 }
 
 /// True when `text` looks like a sealed envelope (it starts with the
-/// envelope header). Used to tell envelopes from legacy bare-JSON files.
+/// envelope header). Used to tell envelopes from bare-JSON files such as
+/// Chrome traces.
 pub fn is_envelope(text: &str) -> bool {
     text.trim_start().starts_with(ENVELOPE_PREFIX)
 }

@@ -727,33 +727,21 @@ enum ReportRead {
 }
 
 /// Reads one per-experiment report body, validating envelope and nonce.
-/// Legacy bare-JSON reports (no envelope) are still spliced, so
-/// hand-written fixtures keep working; anything claiming to be an
-/// envelope must validate.
+/// A file that is not a valid sealed envelope — bare JSON included — is
+/// corrupt.
 fn read_report(path: &Path, nonce: Option<&str>) -> ReportRead {
     let Ok(body) = fs::read_to_string(path) else {
         return ReportRead::Missing;
     };
-    let trimmed = if durable::is_envelope(&body) {
-        match durable::unseal(&body) {
-            Ok(payload) => payload.to_string(),
-            Err(e) => {
-                eprintln!("warning: CORRUPT report {} ({e}), skipped", path.display());
-                return ReportRead::Corrupt;
-            }
-        }
-    } else {
-        // Reports hand-edited or rewritten by tools often gain a trailing
-        // newline; trim before sniffing so they are not dropped.
-        let t = body.trim();
-        if !(t.starts_with('{') && t.ends_with('}')) {
-            eprintln!("warning: {} is not a JSON object, skipped", path.display());
+    let payload = match durable::unseal(&body) {
+        Ok(payload) => payload.to_string(),
+        Err(e) => {
+            eprintln!("warning: CORRUPT report {} ({e}), skipped", path.display());
             return ReportRead::Corrupt;
         }
-        t.to_string()
     };
     if let Some(n) = nonce {
-        if nonce_of(&trimmed).as_deref() != Some(n) {
+        if nonce_of(&payload).as_deref() != Some(n) {
             eprintln!(
                 "warning: STALE report {} (nonce does not match this run) — the experiment \
                  likely crashed before writing; skipped",
@@ -762,7 +750,7 @@ fn read_report(path: &Path, nonce: Option<&str>) -> ReportRead {
             return ReportRead::Stale;
         }
     }
-    ReportRead::Body(trimmed)
+    ReportRead::Body(payload)
 }
 
 /// Context for [`consolidate`] — everything about the run that is not a
@@ -956,11 +944,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_reports_with_trailing_newline_are_accepted() {
+    fn bare_reports_count_as_corrupt() {
         let dir = tmpdir("newline");
         fs::write(dir.join("e01.json"), "{\"id\":\"e01\"}\n").unwrap();
         let json = consolidate(&ctx(&dir, 1, None), &fake_outcomes());
-        assert!(json.contains("\"experiments\":[{\"id\":\"e01\"}]"));
+        assert!(json.contains("\"experiments\":[]"));
+        assert!(json.contains("\"consolidated\":0"));
+        assert!(json.contains("\"corrupt\":1"));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -10,7 +10,7 @@
 //!   `(2c+1)^(rank²)` candidate space) and per-worker
 //!   [`PoolStats`] telemetry.
 //! * **Engine introspection** — the e04-scale sparse sweep through
-//!   [`simulate_sparse_matmul_profiled`], aggregating
+//!   [`simulate_sparse_matmul_traced`], aggregating
 //!   [`EngineStats`] (event counts, peak queue depth, compactions, and
 //!   the skip-ahead jump-length histogram with percentiles).
 //!
@@ -28,8 +28,8 @@ use stellar_core::{
 };
 use stellar_sim::metrics::{escape, json_f64};
 use stellar_sim::{
-    simulate_sparse_matmul_profiled, BalancePolicy, EngineStats, FaultInjector, FaultPlan,
-    Histogram, SparseArrayParams, Tracer, Watchdog,
+    simulate_sparse_matmul_traced, BalancePolicy, EngineStats, FaultInjector, FaultPlan, Histogram,
+    SparseArrayParams, Tracer, Watchdog,
 };
 use stellar_tensor::{gen, CsrMatrix};
 
@@ -132,7 +132,7 @@ pub fn run_profile(opts: &ProfileOptions) -> ProfileReport {
                 balance: policy,
             };
             let mut injector = FaultInjector::new(FaultPlan::none());
-            match simulate_sparse_matmul_profiled(
+            match simulate_sparse_matmul_traced(
                 b,
                 &params,
                 &mut injector,

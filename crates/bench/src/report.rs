@@ -186,7 +186,10 @@ impl Report {
     }
 
     /// The report's tracer — enabled only when the options ask for
-    /// tracing. Pass to `simulate_*_traced` entry points; spans land in
+    /// tracing. Pass it (or absorb per-point tracers into it) to the
+    /// full-control [`stellar_sim::simulate_ws_matmul_traced`],
+    /// [`stellar_sim::simulate_os_matmul_traced`] or
+    /// [`stellar_sim::simulate_sparse_matmul_traced`]; spans land in
     /// `out/<id>.trace.json` at [`Report::finish`].
     pub fn tracer(&mut self) -> &mut Tracer {
         &mut self.tracer

@@ -1,14 +1,14 @@
 //! Integration tests for the content-addressed design cache: durable
 //! corruption never serves stale data, nonce bumps orphan every existing
-//! entry, concurrent identical queries single-flight into one search,
-//! and batches dedup before sharding — all against the real
-//! [`DesignCache`] with a scratch durable tier.
+//! entry, and concurrent identical queries single-flight into one
+//! search — all against the real [`DesignCache`] with a scratch durable
+//! tier.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use stellar_bench::cache::{DesignCache, DesignQuery, STATE_FILE};
+use stellar_bench::cache::{DesignCache, STATE_FILE};
 use stellar_bench::durable;
 use stellar_core::cache::QueryKey;
 use stellar_core::prelude::*;
@@ -268,68 +268,6 @@ fn identical_concurrent_queries_single_flight() {
     );
     // Followers that joined mid-flight are a subset of the hits.
     assert!(stats.coalesced <= stats.hits);
-}
-
-/// `run_batch` dedups identical queries before sharding: distinct queries
-/// each compute once, duplicates are coalesced hits, and per-query
-/// results match their individually computed counterparts.
-#[test]
-fn batches_dedup_and_shard() {
-    let cache = DesignCache::in_memory(64);
-    let mk = |m, n, k| {
-        let (func, bounds, opts) = query(m, n, k);
-        DesignQuery { func, bounds, opts }
-    };
-    // Three distinct queries, with the first duplicated three ways.
-    let batch = vec![
-        mk(3, 3, 3),
-        mk(2, 3, 4),
-        mk(3, 3, 3),
-        mk(2, 2, 2),
-        mk(3, 3, 3),
-    ];
-    let runs = cache.run_batch(&batch);
-    assert_eq!(runs.len(), batch.len());
-
-    for (q, run) in batch.iter().zip(&runs) {
-        let run = run.as_ref().expect("batch query failed");
-        let oracle = explore_dataflows_profiled(&q.func, &q.bounds, &q.opts).unwrap();
-        let oracle_image = oracle
-            .results
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(
-            image(run),
-            oracle_image,
-            "batch answer diverged from the oracle"
-        );
-    }
-    let stats = cache.stats();
-    assert_eq!(
-        stats.misses, 3,
-        "each distinct query should compute exactly once"
-    );
-    assert_eq!(
-        stats.hits, 2,
-        "each duplicate should be served, not recomputed"
-    );
-    assert_eq!(
-        stats.coalesced, 2,
-        "duplicates should be accounted as coalesced"
-    );
-
-    // Identity of the duplicates: positions 0, 2, 4 carry the same query
-    // and must carry the same ranking.
-    assert_eq!(
-        image(runs[0].as_ref().unwrap()),
-        image(runs[2].as_ref().unwrap())
-    );
-    assert_eq!(
-        image(runs[0].as_ref().unwrap()),
-        image(runs[4].as_ref().unwrap())
-    );
 }
 
 /// The memory tier evicts least-recently-used entries at capacity, but

@@ -14,6 +14,7 @@ use crate::error::CompileError;
 use crate::expr::Expr;
 use crate::func::{Functionality, TensorId, TensorRole};
 use crate::index::{Bounds, IndexId};
+use crate::transform::SpaceTimeTransform;
 
 /// Dense per-variable value storage over a rectangular iteration space:
 /// one flat `f64` plane plus a written-flag plane per variable, indexed by
@@ -77,10 +78,6 @@ impl DenseStore {
     }
 }
 
-/// The result of a scheduled run: the output tensors plus
-/// `(time_steps, busy_point_count)`.
-pub type ScheduledRun = (HashMap<TensorId, DenseTensor>, (i64, u64));
-
 /// The observable timeline of a scheduled run: how many points did work
 /// at each time step of the space-time schedule.
 ///
@@ -109,7 +106,7 @@ impl ScheduleProfile {
     }
 }
 
-/// The result of a profiled scheduled run: output tensors plus the
+/// The result of [`Executor::run_scheduled`]: output tensors plus the
 /// per-step activity profile.
 pub type ProfiledRun = (HashMap<TensorId, DenseTensor>, ScheduleProfile);
 
@@ -191,7 +188,87 @@ impl<'f> Executor<'f> {
         &self,
         inputs: &HashMap<TensorId, DenseTensor>,
     ) -> Result<HashMap<TensorId, DenseTensor>, CompileError> {
+        let (mut vals, mut outputs) = self.prologue(None, inputs)?;
+        for point in self.bounds.iter_points() {
+            self.step(&point, None, &mut vals, &mut outputs, inputs)?;
+        }
+        Ok(outputs)
+    }
+
+    /// Runs the specification *in the schedule order implied by a
+    /// space-time transform*: points execute grouped by time step, earliest
+    /// first, exactly as the PEs of the compiled array would.
+    ///
+    /// Unlike [`Executor::run`], which uses the declaration-order semantics
+    /// of the notation, this checks that the dataflow is *causally
+    /// consistent* — every value is produced at a strictly earlier time
+    /// step (or earlier in the same combinational step) than it is
+    /// consumed. A transform that passed compilation but scheduled a read
+    /// before its write would be caught here.
+    ///
+    /// Returns the outputs plus the [`ScheduleProfile`]: how many points
+    /// did work at each time step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::CausalityViolation`] if a point reads a
+    /// value its schedule has not yet produced, plus the errors of
+    /// [`Executor::run`].
+    pub fn run_scheduled(
+        &self,
+        transform: &SpaceTimeTransform,
+        inputs: &HashMap<TensorId, DenseTensor>,
+    ) -> Result<ProfiledRun, CompileError> {
+        let (mut vals, mut outputs) = self.prologue(Some(transform), inputs)?;
+        // Order points by (time, lexicographic) — the hardware schedule.
+        let mut points: Vec<(i64, Vec<i64>)> = self
+            .bounds
+            .iter_points()
+            .map(|p| (transform.time_of(&p), p))
+            .collect();
+        points.sort();
+        let (tmin, tmax) = match (points.first(), points.last()) {
+            (Some(f), Some(l)) => (f.0, l.0),
+            _ => (0, 0),
+        };
+        let steps = (tmax - tmin + 1).max(0) as usize;
+        let mut busy_per_step = vec![0u64; if points.is_empty() { 0 } else { steps }];
+        for (t, point) in &points {
+            if self.step(point, Some(transform), &mut vals, &mut outputs, inputs)? {
+                if let Some(slot) = busy_per_step.get_mut((t - tmin) as usize) {
+                    *slot += 1;
+                }
+            }
+        }
+        Ok((
+            outputs,
+            ScheduleProfile {
+                time_steps: tmax - tmin + 1,
+                busy_per_step,
+            },
+        ))
+    }
+
+    /// Everything both interpreters check before anything is allocated —
+    /// the functionality validates, the transform (if any) has the
+    /// iteration rank, every input tensor is present with the shape the
+    /// bounds give it, and the space fits the point budget — then the value
+    /// store and the zeroed output tensors.
+    fn prologue(
+        &self,
+        transform: Option<&SpaceTimeTransform>,
+        inputs: &HashMap<TensorId, DenseTensor>,
+    ) -> Result<(DenseStore, HashMap<TensorId, DenseTensor>), CompileError> {
         self.func.validate()?;
+        if let Some(transform) = transform {
+            if transform.rank() != self.bounds.rank() {
+                return Err(CompileError::InvalidTransform(format!(
+                    "transform rank {} vs iteration rank {}",
+                    transform.rank(),
+                    self.bounds.rank()
+                )));
+            }
+        }
         for t in self.func.tensors() {
             if self.func.tensor_role(t) == TensorRole::Input {
                 let input = inputs.get(&t).ok_or_else(|| {
@@ -210,153 +287,49 @@ impl<'f> Executor<'f> {
                 }
             }
         }
-
-        // The space size is known up front; budget-check it before the
-        // dense storage is allocated (one flat plane per variable).
         if self.bounds.num_points() as u64 > self.point_budget {
             return Err(CompileError::BudgetExhausted {
                 budget: self.point_budget,
             });
         }
-        let mut vals = DenseStore::new(&self.bounds, self.func.num_vars());
-        let mut outputs: HashMap<TensorId, DenseTensor> = self
+        let vals = DenseStore::new(&self.bounds, self.func.num_vars());
+        let outputs = self
             .func
             .tensors()
             .filter(|&t| self.func.tensor_role(t) == TensorRole::Output)
             .map(|t| (t, DenseTensor::zeros(&self.tensor_shape(t))))
             .collect();
-
-        for point in self.bounds.iter_points() {
-            for a in self.func.assigns() {
-                let applies = a
-                    .lhs
-                    .iter()
-                    .enumerate()
-                    .all(|(d, c)| !c.is_pinned() || c.eval(&point, &self.bounds) == point[d]);
-                if !applies {
-                    continue;
-                }
-                let v = self.eval(&a.rhs, &point, a.var, &vals, inputs)?;
-                vals.set(a.var.0, &point, v);
-            }
-            for o in self.func.outputs() {
-                // An output fires at points where its pinned variable reads
-                // match the point exactly.
-                let fires = o.rhs.var_reads().iter().all(|(_, coords)| {
-                    coords
-                        .iter()
-                        .enumerate()
-                        .all(|(d, c)| c.eval(&point, &self.bounds) == point[d])
-                });
-                if !fires {
-                    continue;
-                }
-                let val = self.eval(&o.rhs, &point, o.rhs.var_reads()[0].0, &vals, inputs)?;
-                let coords: Vec<usize> = o
-                    .coords
-                    .iter()
-                    .map(|c| c.eval(&point, &self.bounds) as usize)
-                    .collect();
-                if let Some(out) = outputs.get_mut(&o.tensor) {
-                    out.set(&coords, val);
-                }
-            }
-        }
-        Ok(outputs)
+        Ok((vals, outputs))
     }
 
-    /// Runs the specification *in the schedule order implied by a
-    /// space-time transform*: points execute grouped by time step, earliest
-    /// first, exactly as the PEs of the compiled array would.
-    ///
-    /// Unlike [`Executor::run`], which uses the declaration-order semantics
-    /// of the notation, this checks that the dataflow is *causally
-    /// consistent* — every value is produced at a strictly earlier time
-    /// step (or earlier in the same combinational step) than it is
-    /// consumed. A transform that passed compilation but scheduled a read
-    /// before its write would be caught here.
-    ///
-    /// Returns the outputs plus `(time_steps, busy_point_count)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::CausalityViolation`] if a point reads a
-    /// value its schedule has not yet produced, plus the usual validation
-    /// errors.
-    pub fn run_scheduled(
+    /// Executes one point: the assignments that apply there, in
+    /// declaration order, then every output that fires there. Given the
+    /// schedule's transform, an assignment first checks that every
+    /// in-bounds value it reads from another point is already written.
+    /// Returns whether any assignment ran.
+    fn step(
         &self,
-        transform: &crate::transform::SpaceTimeTransform,
+        point: &[i64],
+        transform: Option<&SpaceTimeTransform>,
+        vals: &mut DenseStore,
+        outputs: &mut HashMap<TensorId, DenseTensor>,
         inputs: &HashMap<TensorId, DenseTensor>,
-    ) -> Result<ScheduledRun, CompileError> {
-        let (outputs, profile) = self.run_scheduled_profiled(transform, inputs)?;
-        let busy = profile.busy_points();
-        Ok((outputs, (profile.time_steps, busy)))
-    }
-
-    /// [`Executor::run_scheduled`], additionally recording how many points
-    /// did work at each time step — the [`ScheduleProfile`] the simulator's
-    /// cycle-attribution layer classifies into fill/compute/drain phases.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Executor::run_scheduled`].
-    pub fn run_scheduled_profiled(
-        &self,
-        transform: &crate::transform::SpaceTimeTransform,
-        inputs: &HashMap<TensorId, DenseTensor>,
-    ) -> Result<ProfiledRun, CompileError> {
-        self.func.validate()?;
-        if transform.rank() != self.bounds.rank() {
-            return Err(CompileError::InvalidTransform(format!(
-                "transform rank {} vs iteration rank {}",
-                transform.rank(),
-                self.bounds.rank()
-            )));
-        }
-        // Order points by (time, lexicographic) — the hardware schedule.
-        let mut points: Vec<(i64, Vec<i64>)> = self
-            .bounds
-            .iter_points()
-            .map(|p| (transform.time_of(&p), p))
-            .collect();
-        points.sort();
-        if points.len() as u64 > self.point_budget {
-            return Err(CompileError::BudgetExhausted {
-                budget: self.point_budget,
-            });
-        }
-        let (tmin, tmax) = match (points.first(), points.last()) {
-            (Some(f), Some(l)) => (f.0, l.0),
-            _ => (0, 0),
-        };
-
-        let mut vals = DenseStore::new(&self.bounds, self.func.num_vars());
-        let mut outputs: HashMap<TensorId, DenseTensor> = self
-            .func
-            .tensors()
-            .filter(|&t| self.func.tensor_role(t) == TensorRole::Output)
-            .map(|t| (t, DenseTensor::zeros(&self.tensor_shape(t))))
-            .collect();
-        let steps = (tmax - tmin + 1).max(0) as usize;
-        let mut busy_per_step = vec![0u64; if points.is_empty() { 0 } else { steps }];
-
-        for (t, point) in &points {
-            let mut did_work = false;
-            for a in self.func.assigns() {
-                let applies = a
-                    .lhs
-                    .iter()
-                    .enumerate()
-                    .all(|(d, c)| !c.is_pinned() || c.eval(point, &self.bounds) == point[d]);
-                if !applies {
-                    continue;
-                }
-                // Causality check: every in-bounds var read must already
-                // have a value.
+    ) -> Result<bool, CompileError> {
+        let mut did_work = false;
+        for a in self.func.assigns() {
+            let applies = a
+                .lhs
+                .iter()
+                .enumerate()
+                .all(|(d, c)| !c.is_pinned() || c.eval(point, &self.bounds) == point[d]);
+            if !applies {
+                continue;
+            }
+            if let Some(transform) = transform {
                 for (v, coords) in a.rhs.var_reads() {
                     let src: Vec<i64> =
                         coords.iter().map(|c| c.eval(point, &self.bounds)).collect();
-                    if self.bounds.contains(&src) && src != *point && !vals.is_written(v.0, &src) {
+                    if self.bounds.contains(&src) && src != point && !vals.is_written(v.0, &src) {
                         let mut delta = Vec::with_capacity(src.len());
                         let mut here = Vec::with_capacity(src.len());
                         transform.apply_into(&src, &mut delta);
@@ -370,43 +343,34 @@ impl<'f> Executor<'f> {
                         });
                     }
                 }
-                let v = self.eval(&a.rhs, point, a.var, &vals, inputs)?;
-                vals.set(a.var.0, point, v);
-                did_work = true;
             }
-            if did_work {
-                if let Some(slot) = busy_per_step.get_mut((t - tmin) as usize) {
-                    *slot += 1;
-                }
-            }
-            for o in self.func.outputs() {
-                let fires = o.rhs.var_reads().iter().all(|(_, coords)| {
-                    coords
-                        .iter()
-                        .enumerate()
-                        .all(|(d, c)| c.eval(point, &self.bounds) == point[d])
-                });
-                if !fires {
-                    continue;
-                }
-                let val = self.eval(&o.rhs, point, o.rhs.var_reads()[0].0, &vals, inputs)?;
-                let coords: Vec<usize> = o
-                    .coords
+            let v = self.eval(&a.rhs, point, a.var, vals, inputs)?;
+            vals.set(a.var.0, point, v);
+            did_work = true;
+        }
+        for o in self.func.outputs() {
+            // An output fires at points where its pinned variable reads
+            // match the point exactly.
+            let fires = o.rhs.var_reads().iter().all(|(_, coords)| {
+                coords
                     .iter()
-                    .map(|c| c.eval(point, &self.bounds) as usize)
-                    .collect();
-                if let Some(out) = outputs.get_mut(&o.tensor) {
-                    out.set(&coords, val);
-                }
+                    .enumerate()
+                    .all(|(d, c)| c.eval(point, &self.bounds) == point[d])
+            });
+            if !fires {
+                continue;
+            }
+            let val = self.eval(&o.rhs, point, o.rhs.var_reads()[0].0, vals, inputs)?;
+            let coords: Vec<usize> = o
+                .coords
+                .iter()
+                .map(|c| c.eval(point, &self.bounds) as usize)
+                .collect();
+            if let Some(out) = outputs.get_mut(&o.tensor) {
+                out.set(&coords, val);
             }
         }
-        Ok((
-            outputs,
-            ScheduleProfile {
-                time_steps: tmax - tmin + 1,
-                busy_per_step,
-            },
-        ))
+        Ok(did_work)
     }
 
     fn eval(
@@ -550,10 +514,14 @@ mod tests {
                 .with_time_scale(2)
                 .unwrap(),
         ] {
-            let (scheduled, (steps, busy)) = exec.run_scheduled(&t, &inputs).unwrap();
+            let (scheduled, profile) = exec.run_scheduled(&t, &inputs).unwrap();
             assert_eq!(scheduled[&tensors[2]], plain[&tensors[2]], "{t:?}");
-            assert!(steps > 0);
-            assert_eq!(busy, 3 * 4 * 2, "every point does work once");
+            assert!(profile.time_steps > 0);
+            assert_eq!(
+                profile.busy_points(),
+                3 * 4 * 2,
+                "every point does work once"
+            );
         }
     }
 
@@ -570,11 +538,10 @@ mod tests {
         inputs.insert(tensors[1], DenseTensor::from_matrix(&b));
         let exec = Executor::new(&f, &bounds);
         let t = SpaceTimeTransform::output_stationary();
-        let (outputs, profile) = exec.run_scheduled_profiled(&t, &inputs).unwrap();
-        let (plain_out, (steps, busy)) = exec.run_scheduled(&t, &inputs).unwrap();
+        let (outputs, profile) = exec.run_scheduled(&t, &inputs).unwrap();
+        let plain_out = exec.run(&inputs).unwrap();
         assert_eq!(outputs[&tensors[2]], plain_out[&tensors[2]]);
-        assert_eq!(profile.time_steps, steps);
-        assert_eq!(profile.busy_points(), busy);
+        assert_eq!(profile.busy_points(), 3 * 4 * 2);
         assert_eq!(profile.busy_per_step.len() as i64, profile.time_steps);
         // Every step of this dense schedule runs some points, and the
         // peak can never exceed the i×j plane of stationary PEs.
@@ -638,18 +605,38 @@ mod tests {
     fn missing_input_rejected() {
         let f = Functionality::matmul(2, 2, 2);
         let bounds = Bounds::from_extents(&[2, 2, 2]);
-        let err = Executor::new(&f, &bounds).run(&HashMap::new());
-        assert!(err.is_err());
+        // Inputs are checked before the point budget, so a missing tensor
+        // is named even when the space is also over budget.
+        let exec = Executor::new(&f, &bounds).with_point_budget(1);
+        let t = SpaceTimeTransform::output_stationary();
+        let missing = "missing input tensor 'A'";
+        let inputs = HashMap::new();
+        assert!(matches!(exec.run(&inputs), Err(CompileError::Malformed(m)) if m == missing));
+        assert!(matches!(
+            exec.run_scheduled(&t, &inputs),
+            Err(CompileError::Malformed(m)) if m == missing
+        ));
     }
 
     #[test]
     fn misshaped_input_rejected() {
         let f = Functionality::matmul(2, 2, 2);
         let bounds = Bounds::from_extents(&[2, 2, 2]);
+        let exec = Executor::new(&f, &bounds);
         let tensors: Vec<TensorId> = f.tensors().collect();
-        let mut inputs = HashMap::new();
-        inputs.insert(tensors[0], DenseTensor::zeros(&[3, 3]));
-        inputs.insert(tensors[1], DenseTensor::zeros(&[2, 2]));
-        assert!(Executor::new(&f, &bounds).run(&inputs).is_err());
+        let t = SpaceTimeTransform::output_stationary();
+        // Too large would be read as its top-left block, too small would
+        // index out of bounds: both must be rejected before any point runs.
+        for shape in [[3, 3], [1, 1]] {
+            let mut inputs = HashMap::new();
+            inputs.insert(tensors[0], DenseTensor::zeros(&shape));
+            inputs.insert(tensors[1], DenseTensor::zeros(&[2, 2]));
+            let want = format!("input tensor 'A' has shape {shape:?}, expected [2, 2]");
+            assert!(matches!(exec.run(&inputs), Err(CompileError::Malformed(m)) if m == want));
+            assert!(matches!(
+                exec.run_scheduled(&t, &inputs),
+                Err(CompileError::Malformed(m)) if m == want
+            ));
+        }
     }
 }

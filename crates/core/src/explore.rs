@@ -524,7 +524,7 @@ pub fn explore_dataflows_profiled(
             .into_par_iter()
             .with_max_threads(workers)
             .map(|s| scan_codes(&ctx, s * shard..((s + 1) * shard).min(total)))
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .map_err(|p| panicked(p.message))?
     };
 

@@ -76,7 +76,7 @@ pub use design::{
     PortDir, RegfileDesign, SpatialArrayDesign,
 };
 pub use error::CompileError;
-pub use exec::{Executor, ProfiledRun, ScheduleProfile, ScheduledRun};
+pub use exec::{Executor, ProfiledRun, ScheduleProfile};
 pub use explore::{
     explore_dataflows, explore_dataflows_profiled, explore_dataflows_reference, ExploreOptions,
     ExploreRun, ExploredDataflow,

@@ -133,10 +133,10 @@ proptest! {
         inputs.insert(tensors[1], DenseTensor::from_matrix(&b));
         let exec = Executor::new(&f, &Bounds::from_extents(&[m, n, k]));
         let plain = exec.run(&inputs).unwrap();
-        let (scheduled, (steps, busy)) = exec.run_scheduled(&t, &inputs).unwrap();
+        let (scheduled, profile) = exec.run_scheduled(&t, &inputs).unwrap();
         prop_assert_eq!(&scheduled[&tensors[2]], &plain[&tensors[2]]);
-        prop_assert!(steps >= 1);
-        prop_assert_eq!(busy, (m * n * k) as u64);
+        prop_assert!(profile.time_steps >= 1);
+        prop_assert_eq!(profile.busy_points(), (m * n * k) as u64);
     }
 
     /// The regfile optimizer never upgrades a matching order to something

@@ -140,8 +140,8 @@ impl PoolStats {
     }
 }
 
-/// A worker closure panicked during a parallel map. Returned by the
-/// `try_*` entry points instead of re-raising the panic, so a single bad
+/// A worker closure panicked during a parallel map. Returned by
+/// [`ParMap::try_collect_vec`] instead of re-raising the panic, so a single bad
 /// item (one candidate out of millions in a dataflow search) surfaces as
 /// an error the caller can handle rather than tearing down the process.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -421,7 +421,7 @@ where
     /// empty while chunks are still in flight yields and rescans (an
     /// executing chunk never spawns new chunks, so this wait is bounded
     /// by the longest single chunk).
-    fn try_run_profiled_inner(self) -> Result<(Vec<R>, PoolStats), Box<dyn std::any::Any + Send>> {
+    fn try_run(self) -> Result<(Vec<R>, PoolStats), Box<dyn std::any::Any + Send>> {
         let len = self.source.len();
         // An explicit thread request is taken as-is (oversubscription
         // included); `0` means the machine default.
@@ -602,47 +602,30 @@ where
         ))
     }
 
-    /// [`ParMap::try_run_profiled_inner`] with the telemetry discarded.
-    fn try_run_inner(self) -> Result<Vec<R>, Box<dyn std::any::Any + Send>> {
-        self.try_run_profiled_inner().map(|(out, _)| out)
-    }
-
     /// Executes the map, returning results in index order. A panic in any
     /// worker is re-raised here with its original payload (rayon's
     /// behavior) — use [`ParMap::try_collect_vec`] to get a `Result`
     /// instead.
     fn run(self) -> Vec<R> {
-        match self.try_run_inner() {
-            Ok(out) => out,
+        match self.try_run() {
+            Ok((out, _)) => out,
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 
-    /// Executes the map, returning results in index order, or
-    /// [`Panicked`] if any worker closure panicked — without tearing down
-    /// the calling thread. On the error path the message comes from the
-    /// lowest-indexed panicking chunk, so it is deterministic.
+    /// Executes the map, returning results in index order together with
+    /// the [`PoolStats`] of the execution, or [`Panicked`] if any worker
+    /// closure panicked — without tearing down the calling thread. The
+    /// result vector is identical to [`ParMap::collect`]'s; only the
+    /// telemetry (wall-clock, inherently nondeterministic) differs run to
+    /// run. On the error path the message comes from the lowest-indexed
+    /// panicking chunk, so it is deterministic.
     ///
     /// # Errors
     ///
     /// [`Panicked`] carrying the first panic's message.
-    pub fn try_collect_vec(self) -> Result<Vec<R>, Panicked> {
-        self.try_run_inner().map_err(|payload| Panicked {
-            message: panic_message(payload.as_ref()),
-        })
-    }
-
-    /// [`ParMap::try_collect_vec`] plus per-worker telemetry: results in
-    /// index order together with the [`PoolStats`] of the execution. The
-    /// result vector is byte-identical to the unprofiled path; only the
-    /// telemetry (wall-clock, inherently nondeterministic) differs run
-    /// to run.
-    ///
-    /// # Errors
-    ///
-    /// [`Panicked`] carrying the first panic's message.
-    pub fn try_collect_vec_profiled(self) -> Result<(Vec<R>, PoolStats), Panicked> {
-        self.try_run_profiled_inner().map_err(|payload| Panicked {
+    pub fn try_collect_vec(self) -> Result<(Vec<R>, PoolStats), Panicked> {
+        self.try_run().map_err(|payload| Panicked {
             message: panic_message(payload.as_ref()),
         })
     }
@@ -730,12 +713,12 @@ mod tests {
 
     #[test]
     fn try_collect_vec_succeeds_like_collect() {
-        let ok: Result<Vec<usize>, Panicked> = (0..1000usize)
+        let ok: Result<(Vec<usize>, PoolStats), Panicked> = (0..1000usize)
             .into_par_iter()
             .map(|i| i * 3)
             .try_collect_vec();
         let expected: Vec<usize> = (0..1000usize).map(|i| i * 3).collect();
-        assert_eq!(ok.unwrap(), expected);
+        assert_eq!(ok.unwrap().0, expected);
     }
 
     #[test]
@@ -802,7 +785,7 @@ mod tests {
         let (profiled, stats) = (0..10_000u64)
             .into_par_iter()
             .map(|i| i * 7)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .unwrap();
         assert_eq!(plain, profiled);
         assert!(stats.worker_count() >= 1);
@@ -820,7 +803,7 @@ mod tests {
                 .into_par_iter()
                 .with_max_threads(cap)
                 .map(|i| i + 1)
-                .try_collect_vec_profiled()
+                .try_collect_vec()
                 .unwrap();
             assert_eq!(out.len(), 50_000);
             assert!(
@@ -838,7 +821,7 @@ mod tests {
             .into_par_iter()
             .with_max_threads(1)
             .map(|i| i)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .unwrap();
         assert_eq!(stats.worker_count(), 1);
         assert_eq!(stats.workers[0].items, 100);
@@ -852,7 +835,7 @@ mod tests {
         let (_, stats) = (0..10_000usize)
             .into_par_iter()
             .map(|i| i)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .unwrap();
         let u = stats.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
@@ -895,7 +878,7 @@ mod tests {
                 .with_max_threads(4)
                 .with_steal_batch(batch)
                 .map(skewed)
-                .try_collect_vec_profiled()
+                .try_collect_vec()
                 .unwrap();
             assert_eq!(got, expected, "steal batch {batch} changed the output");
             assert_eq!(stats.total_items(), 4096);
@@ -913,7 +896,7 @@ mod tests {
             .with_min_len(16)
             .with_max_threads(4)
             .map(|i| i * 11)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .unwrap();
         assert_eq!(out.len(), 10_000);
         assert_eq!(stats.total_items(), 10_000);
@@ -937,7 +920,7 @@ mod tests {
             .into_par_iter()
             .with_max_threads(1)
             .map(|i| i)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .unwrap();
         assert_eq!(stats.worker_count(), 1);
         assert_eq!(stats.total_steals(), 0);
@@ -964,7 +947,7 @@ mod tests {
             .with_min_len(8)
             .with_max_threads(4)
             .map(cost)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .unwrap();
         assert_eq!(got, expected);
         assert_eq!(stats.total_items(), 2048);
@@ -1006,7 +989,8 @@ mod tests {
             .into_par_iter()
             .map(|i| i ^ 0xabcd)
             .try_collect_vec()
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(a, b);
     }
 }

@@ -47,7 +47,7 @@ proptest! {
             .with_max_threads(threads)
             .with_steal_batch(batch)
             .map(busy_work)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .expect("clean workload must not panic");
         let expect: Vec<u64> = (0..len).map(busy_work).collect();
         prop_assert_eq!(out, expect);
@@ -96,7 +96,7 @@ proptest! {
                 }
                 i
             })
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .expect_err("the panicking item must surface as an error");
         prop_assert!(
             err.message.contains(&format!("boom at {panic_at}")),
@@ -108,7 +108,7 @@ proptest! {
             .with_max_threads(threads)
             .with_steal_batch(batch)
             .map(busy_work)
-            .try_collect_vec_profiled()
+            .try_collect_vec()
             .expect("clean run after an isolated panic");
         prop_assert_eq!(out.len(), len);
         prop_assert_eq!(stats.total_items(), len as u64);

@@ -12,7 +12,7 @@
 //! The tag store is two flat preallocated arrays (struct-of-arrays: one
 //! slot per way of every set, tags and last-use stamps side by side), so
 //! the per-access hot path is a bounded linear probe with zero heap
-//! allocation — where the retained [`reference`] model keeps a
+//! allocation — where the retained [`mod@reference`] model keeps a
 //! `HashMap<set, Vec<(tag, stamp)>>` and reallocates as sets fill.
 //! Stamps are unique and monotone, so LRU choice — and therefore every
 //! hit/miss outcome — is identical between the two layouts even though

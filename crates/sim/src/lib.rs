@@ -41,6 +41,15 @@
 //! * [`metrics`] — a typed [`metrics::MetricsRegistry`]
 //!   (counters/gauges/histograms with labels) with a stable JSON schema,
 //!   used by the bench harness to emit one consolidated `metrics.json`.
+//!
+//! Each simulated operation has at most two entry points: a plain function
+//! with the default controls (no faults, the default watchdog budget, no
+//! trace), and one full-control form that takes every control input and
+//! returns everything the run measured. For the dense arrays that is
+//! [`simulate_ws_matmul`] / [`simulate_os_matmul`] and their `_traced`
+//! forms (fault injector, watchdog, tracer); for the sparse array,
+//! [`simulate_sparse_matmul`] and [`simulate_sparse_matmul_traced`], which
+//! also returns the run's [`EngineStats`].
 
 pub mod cache;
 pub mod dma;
@@ -64,13 +73,13 @@ pub use gemm::{gemm_cycles, layer_utilization, GemmBreakdown, GemmParams};
 pub use merger::{rows_of_partials, FlattenedMerger, MergeStats, Merger, RowPartitionedMerger};
 pub use metrics::{Histogram, MetricValue, MetricsRegistry, Stopwatch};
 pub use sparse::{
-    simulate_sparse_matmul, simulate_sparse_matmul_faulty, simulate_sparse_matmul_profiled,
-    simulate_sparse_matmul_traced, BalancePolicy, SparseArrayParams, SparseSimResult,
+    simulate_sparse_matmul, simulate_sparse_matmul_traced, BalancePolicy, SparseArrayParams,
+    SparseSimResult,
 };
 pub use stats::{SimStats, Utilization};
 pub use systolic::{
-    simulate_os_matmul, simulate_os_matmul_faulty, simulate_os_matmul_traced, simulate_ws_matmul,
-    simulate_ws_matmul_faulty, simulate_ws_matmul_traced, WsResult,
+    simulate_os_matmul, simulate_os_matmul_traced, simulate_ws_matmul, simulate_ws_matmul_traced,
+    WsResult,
 };
 pub use trace::{
     breakdown_of_schedule, CycleBreakdown, StallClass, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY,

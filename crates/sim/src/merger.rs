@@ -14,7 +14,7 @@
 //! because the queue's FIFO tie-break matches the reference's last-max
 //! rule) and the elapsed cycles are attributed through engine advances, so
 //! the `sum(breakdown) == cycles` invariant is structural. The original
-//! closed-form implementations are retained in [`reference`] as the
+//! closed-form implementations are retained in [`mod@reference`] as the
 //! equivalence oracle.
 
 use stellar_tensor::ops::{merge_fibers, Fiber, PartialMatrix};

@@ -11,9 +11,14 @@
 //! lane finishes a row, so the simulator skips time directly from one
 //! completion to the next through the shared [`Engine`] instead of
 //! ticking every cycle. The retained per-cycle implementation lives in
-//! [`reference`] and the two are proven observationally equivalent (same
+//! [`mod@reference`] and the two are proven observationally equivalent (same
 //! stats, breakdowns, and trace bytes under every seed and fault plan) by
 //! the `engine_equivalence` test suite.
+//!
+//! Two entry points: the plain [`simulate_sparse_matmul`] (fault-free,
+//! default watchdog, no trace) and [`simulate_sparse_matmul_traced`],
+//! which takes the fault injector, the watchdog and the tracer and returns
+//! the result together with the run's [`EngineStats`].
 
 use stellar_area::TrafficCounts;
 use stellar_tensor::CsrMatrix;
@@ -194,43 +199,39 @@ fn next_work(
 /// # Errors
 ///
 /// Returns [`SimError::WatchdogExpired`] if the run exceeds the default
-/// cycle budget. See [`simulate_sparse_matmul_faulty`] for explicit budgets
+/// cycle budget. See [`simulate_sparse_matmul_traced`] for explicit budgets
 /// and fault injection (where a stuck lane can also yield
 /// [`SimError::Deadlock`]).
 pub fn simulate_sparse_matmul(
     b: &CsrMatrix,
     params: &SparseArrayParams,
 ) -> Result<SparseSimResult, SimError> {
-    simulate_sparse_matmul_faulty(
+    simulate_sparse_matmul_traced(
         b,
         params,
         &mut FaultInjector::new(FaultPlan::none()),
         Watchdog::default_budget(),
+        &mut Tracer::disabled(),
     )
+    .map(|(r, _)| r)
 }
 
-/// [`simulate_sparse_matmul`] under a fault plan and explicit watchdog.
+/// [`simulate_sparse_matmul`] with every control input, returning the
+/// result together with the [`EngineStats`] of the run (event-queue
+/// depth/compaction counters and the skip-ahead jump-length histogram,
+/// read once when the run ends; they never feed back into the result).
 ///
-/// A `stuck_lane` in the plan models a hard PE failure: the lane never
-/// dispatches or advances. Whether the array survives depends on the
+/// A `stuck_lane` in the fault plan models a hard PE failure: the lane
+/// never dispatches or advances. Whether the array survives depends on the
 /// balancing policy — `Global` balancing reroutes the dead lane's pending
 /// rows, while `None` (and `AdjacentRows`, which never steals a queue's
 /// head) deadlocks, which this function detects structurally and reports as
 /// [`SimError::Deadlock`] instead of spinning until the watchdog fires.
-pub fn simulate_sparse_matmul_faulty(
-    b: &CsrMatrix,
-    params: &SparseArrayParams,
-    injector: &mut FaultInjector,
-    watchdog: Watchdog,
-) -> Result<SparseSimResult, SimError> {
-    simulate_sparse_matmul_traced(b, params, injector, watchdog, &mut Tracer::disabled())
-}
-
-/// [`simulate_sparse_matmul_faulty`] plus observability: each advanced
-/// cycle is `Compute` when every lane is busy, `LoadImbalance` when only
-/// some are (the Figure 6 pathology this model exists to expose), and
-/// `Idle` when none are; when enabled, the tracer records one span per
-/// executed row (track = lane index).
+///
+/// Each advanced cycle is `Compute` when every lane is busy,
+/// `LoadImbalance` when only some are (the Figure 6 pathology this model
+/// exists to expose), and `Idle` when none are; when enabled, the tracer
+/// records one span per executed row (track = lane index).
 ///
 /// Dispatch decisions can only change when a lane completes a row (queues
 /// never grow, so a steal that failed once keeps failing until a
@@ -245,39 +246,7 @@ pub fn simulate_sparse_matmul_traced(
     injector: &mut FaultInjector,
     watchdog: Watchdog,
     tracer: &mut Tracer,
-) -> Result<SparseSimResult, SimError> {
-    simulate_sparse_matmul_core(b, params, injector, watchdog, tracer, None)
-}
-
-/// [`simulate_sparse_matmul_traced`] plus engine introspection: returns
-/// the simulation result together with the [`EngineStats`] of the run
-/// (event-queue depth/compaction counters and the skip-ahead jump-length
-/// histogram). The result itself is byte-identical to the unprofiled
-/// path — the stats ride alongside, they never feed back.
-///
-/// # Errors
-///
-/// Identical to [`simulate_sparse_matmul_traced`].
-pub fn simulate_sparse_matmul_profiled(
-    b: &CsrMatrix,
-    params: &SparseArrayParams,
-    injector: &mut FaultInjector,
-    watchdog: Watchdog,
-    tracer: &mut Tracer,
 ) -> Result<(SparseSimResult, EngineStats), SimError> {
-    let mut stats = EngineStats::default();
-    let r = simulate_sparse_matmul_core(b, params, injector, watchdog, tracer, Some(&mut stats))?;
-    Ok((r, stats))
-}
-
-fn simulate_sparse_matmul_core(
-    b: &CsrMatrix,
-    params: &SparseArrayParams,
-    injector: &mut FaultInjector,
-    watchdog: Watchdog,
-    tracer: &mut Tracer,
-    stats_out: Option<&mut EngineStats>,
-) -> Result<SparseSimResult, SimError> {
     let lanes = params.lanes.max(1);
     // Pending rows per lane, in row order: owners pop the front, thieves
     // the back.
@@ -287,11 +256,12 @@ fn simulate_sparse_matmul_core(
     let mut lane_rows = vec![0usize; lanes];
     let total_nnz: u64 = (0..b.rows()).map(|r| b.row_len(r) as u64).sum();
     if total_nnz == 0 {
-        return Ok(SparseSimResult {
+        let empty = SparseSimResult {
             stats: SimStats::default(),
             lane_busy,
             lane_rows,
-        });
+        };
+        return Ok((empty, EngineStats::default()));
     }
 
     let mut pending_rows = pending.total();
@@ -376,13 +346,11 @@ fn simulate_sparse_matmul_core(
     }
 
     let cycles = engine.now();
-    if let Some(out) = stats_out {
-        *out = engine.stats();
-    }
+    let engine_stats = engine.stats();
     let breakdown = engine.into_breakdown();
     breakdown.debug_assert_accounts_for(cycles, "sparse array");
     let busy: u64 = lane_busy.iter().sum();
-    Ok(SparseSimResult {
+    let result = SparseSimResult {
         stats: SimStats {
             cycles,
             utilization: Utilization {
@@ -400,7 +368,8 @@ fn simulate_sparse_matmul_core(
         },
         lane_busy,
         lane_rows,
-    })
+    };
+    Ok((result, engine_stats))
 }
 
 /// The retained per-cycle (ticked) implementation, kept verbatim as the
@@ -594,7 +563,7 @@ mod tests {
         let b = gen::imbalanced(32, 256, 4, 128, 2, 7);
         let p = params(BalancePolicy::Global);
         let plain = simulate_sparse_matmul(&b, &p).unwrap();
-        let (profiled, stats) = simulate_sparse_matmul_profiled(
+        let (profiled, stats) = simulate_sparse_matmul_traced(
             &b,
             &p,
             &mut FaultInjector::new(FaultPlan::none()),
@@ -613,7 +582,7 @@ mod tests {
         assert!(stats.jump_cycles.count >= 1 && stats.jump_cycles.count <= total_rows);
         assert!(stats.max_pending >= 1 && stats.max_pending <= 8);
         // Deterministic: a second profiled run reports identical stats.
-        let (_, again) = simulate_sparse_matmul_profiled(
+        let (_, again) = simulate_sparse_matmul_traced(
             &b,
             &p,
             &mut FaultInjector::new(FaultPlan::none()),
@@ -687,11 +656,12 @@ mod tests {
     #[test]
     fn watchdog_bounds_the_lane_loop() {
         let b = gen::uniform(64, 64, 0.3, 2);
-        let err = simulate_sparse_matmul_faulty(
+        let err = simulate_sparse_matmul_traced(
             &b,
             &params(BalancePolicy::None),
             &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::with_budget(3),
+            &mut Tracer::disabled(),
         )
         .unwrap_err();
         assert!(matches!(err, SimError::WatchdogExpired { budget: 3, .. }));
@@ -702,11 +672,12 @@ mod tests {
         let b = gen::uniform(32, 64, 0.3, 4);
         let mut plan = FaultPlan::none();
         plan.stuck_lane = Some(0);
-        let err = simulate_sparse_matmul_faulty(
+        let err = simulate_sparse_matmul_traced(
             &b,
             &params(BalancePolicy::None),
             &mut FaultInjector::new(plan),
             Watchdog::default_budget(),
+            &mut Tracer::disabled(),
         )
         .unwrap_err();
         assert!(
@@ -723,11 +694,12 @@ mod tests {
         let b = gen::uniform(32, 64, 0.3, 4);
         let mut plan = FaultPlan::none();
         plan.stuck_lane = Some(0);
-        let r = simulate_sparse_matmul_faulty(
+        let (r, _) = simulate_sparse_matmul_traced(
             &b,
             &params(BalancePolicy::Global),
             &mut FaultInjector::new(plan),
             Watchdog::default_budget(),
+            &mut Tracer::disabled(),
         )
         .unwrap();
         assert_eq!(r.lane_rows[0], 0, "the stuck lane must do nothing");
@@ -740,7 +712,7 @@ mod tests {
     fn imbalance_shows_up_in_the_breakdown() {
         let b = gen::imbalanced(8, 256, 2, 128, 2, 7);
         let mut tracer = Tracer::enabled();
-        let r = simulate_sparse_matmul_traced(
+        let (r, _) = simulate_sparse_matmul_traced(
             &b,
             &params(BalancePolicy::None),
             &mut FaultInjector::new(FaultPlan::none()),

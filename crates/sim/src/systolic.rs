@@ -13,8 +13,13 @@
 //! the injector's RNG every step, so the draw order *is* the observable.
 //! The performance win here is allocation-free stepping: the register
 //! planes are flat row-major `Vec<f64>` buffers allocated once and
-//! double-buffered with `mem::swap`, where the retained [`reference`]
+//! double-buffered with `mem::swap`, where the retained [`mod@reference`]
 //! implementation allocates two fresh `Vec<Vec<f64>>` grids per cycle.
+//!
+//! Each dataflow has two entry points: the plain [`simulate_ws_matmul`] /
+//! [`simulate_os_matmul`] (fault-free, default watchdog, no trace) and
+//! [`simulate_ws_matmul_traced`] / [`simulate_os_matmul_traced`], which
+//! take the fault injector, the watchdog and the tracer.
 
 use stellar_area::TrafficCounts;
 use stellar_tensor::DenseMatrix;
@@ -44,34 +49,25 @@ pub struct WsResult {
 ///
 /// Returns [`SimError::InvalidConfig`] if the shapes disagree, or
 /// [`SimError::WatchdogExpired`] if the schedule exceeds the default cycle
-/// budget (use [`simulate_ws_matmul_faulty`] to pick the budget).
+/// budget (use [`simulate_ws_matmul_traced`] to pick the budget).
 pub fn simulate_ws_matmul(a: &DenseMatrix, b: &DenseMatrix) -> Result<WsResult, SimError> {
-    simulate_ws_matmul_faulty(
+    simulate_ws_matmul_traced(
         a,
         b,
         &mut FaultInjector::new(FaultPlan::none()),
         Watchdog::default_budget(),
+        &mut Tracer::disabled(),
     )
 }
 
-/// [`simulate_ws_matmul`] with fault injection and an explicit watchdog
-/// budget: activations read at the array edge pass through the injector's
-/// SRAM-corruption hook and every PE's partial-sum register through its
-/// accumulator-upset hook.
-pub fn simulate_ws_matmul_faulty(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    injector: &mut FaultInjector,
-    watchdog: Watchdog,
-) -> Result<WsResult, SimError> {
-    simulate_ws_matmul_traced(a, b, injector, watchdog, &mut Tracer::disabled())
-}
-
-/// [`simulate_ws_matmul_faulty`] plus observability: every elapsed cycle
-/// is attributed to a [`StallClass`] (preload and pre-activity skew are
-/// `Fill`, any-PE-active steps are `Compute`, the tail is `Drain`) and,
-/// when the tracer is enabled, per-row stream spans plus preload/drain
-/// spans are recorded (track = A row index).
+/// [`simulate_ws_matmul`] with every control input: activations read at
+/// the array edge pass through the injector's SRAM-corruption hook and
+/// every PE's partial-sum register through its accumulator-upset hook;
+/// the watchdog bounds the run. Every elapsed cycle is attributed to a
+/// [`StallClass`] (preload and pre-activity skew are `Fill`, any-PE-active
+/// steps are `Compute`, the tail is `Drain`) and, when the tracer is
+/// enabled, per-row stream spans plus preload/drain spans are recorded
+/// (track = A row index).
 pub fn simulate_ws_matmul_traced(
     a: &DenseMatrix,
     b: &DenseMatrix,
@@ -307,29 +303,20 @@ pub fn simulate_ws_matmul_traced(
 /// Returns [`SimError::InvalidConfig`] if the shapes disagree, or
 /// [`SimError::WatchdogExpired`] past the default cycle budget.
 pub fn simulate_os_matmul(a: &DenseMatrix, b: &DenseMatrix) -> Result<WsResult, SimError> {
-    simulate_os_matmul_faulty(
+    simulate_os_matmul_traced(
         a,
         b,
         &mut FaultInjector::new(FaultPlan::none()),
         Watchdog::default_budget(),
+        &mut Tracer::disabled(),
     )
 }
 
-/// [`simulate_os_matmul`] with fault injection and an explicit watchdog
-/// budget; the stationary accumulators pass through the injector's upset
-/// hook every cycle they update.
-pub fn simulate_os_matmul_faulty(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    injector: &mut FaultInjector,
-    watchdog: Watchdog,
-) -> Result<WsResult, SimError> {
-    simulate_os_matmul_traced(a, b, injector, watchdog, &mut Tracer::disabled())
-}
-
-/// [`simulate_os_matmul_faulty`] plus observability: any-PE-active steps
-/// are `Compute`, quiet steps before first activity are `Fill`, the tail
-/// and the end-of-run result drain are `Drain`; when enabled, the tracer
+/// [`simulate_os_matmul`] with every control input: the stationary
+/// accumulators pass through the injector's upset hook every cycle they
+/// update, and the watchdog bounds the run. Any-PE-active steps are
+/// `Compute`, quiet steps before first activity are `Fill`, the tail and
+/// the end-of-run result drain are `Drain`; when enabled, the tracer
 /// records one accumulate span per output row (track = C row index).
 pub fn simulate_os_matmul_traced(
     a: &DenseMatrix,
@@ -947,21 +934,23 @@ mod tests {
     fn watchdog_bounds_the_stream_loop() {
         let a = gen::dense(64, 8, 1);
         let b = gen::dense(8, 8, 2);
-        let err = simulate_ws_matmul_faulty(
+        let err = simulate_ws_matmul_traced(
             &a,
             &b,
             &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::with_budget(10),
+            &mut Tracer::disabled(),
         )
         .unwrap_err();
         assert!(matches!(err, SimError::WatchdogExpired { budget: 10, .. }));
         // A budget covering the full schedule succeeds and reports the same
         // cycles as the default-budget entry point.
-        let ok = simulate_ws_matmul_faulty(
+        let ok = simulate_ws_matmul_traced(
             &a,
             &b,
             &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::with_budget(1_000_000),
+            &mut Tracer::disabled(),
         )
         .unwrap();
         assert_eq!(
@@ -976,7 +965,14 @@ mod tests {
         let b = gen::dense(8, 8, 51);
         let golden = a.matmul(&b);
         let mut inj = FaultInjector::new(FaultPlan::transient(5, 1e-2));
-        let r = simulate_ws_matmul_faulty(&a, &b, &mut inj, Watchdog::default_budget()).unwrap();
+        let r = simulate_ws_matmul_traced(
+            &a,
+            &b,
+            &mut inj,
+            Watchdog::default_budget(),
+            &mut Tracer::disabled(),
+        )
+        .unwrap();
         assert!(inj.counts.upsets > 0, "1e-2 per MAC must inject something");
         assert!(
             !r.product.approx_eq(&golden, 1e-9),
@@ -990,7 +986,14 @@ mod tests {
         let b = gen::dense(8, 8, 51);
         let golden = a.matmul(&b);
         let mut inj = FaultInjector::new(FaultPlan::transient(5, 1e-2).with_ecc());
-        let r = simulate_ws_matmul_faulty(&a, &b, &mut inj, Watchdog::default_budget()).unwrap();
+        let r = simulate_ws_matmul_traced(
+            &a,
+            &b,
+            &mut inj,
+            Watchdog::default_budget(),
+            &mut Tracer::disabled(),
+        )
+        .unwrap();
         assert!(inj.counts.upsets > 0);
         assert_eq!(inj.counts.sdc_candidates, 0);
         assert!(

@@ -96,7 +96,8 @@ proptest! {
         let mut inj_b = FaultInjector::new(plan);
         let mut tr_a = Tracer::enabled();
         let mut tr_b = Tracer::enabled();
-        let got = simulate_sparse_matmul_traced(&b, &params, &mut inj_a, wd, &mut tr_a);
+        let got = simulate_sparse_matmul_traced(&b, &params, &mut inj_a, wd, &mut tr_a)
+            .map(|(r, _)| r);
         let want =
             sparse::reference::simulate_sparse_matmul_traced(&b, &params, &mut inj_b, wd, &mut tr_b);
         prop_assert_eq!(&got, &want);
@@ -125,7 +126,7 @@ proptest! {
         let mut inj_a = FaultInjector::new(FaultPlan::none());
         let mut inj_b = FaultInjector::new(FaultPlan::none());
         let got = simulate_sparse_matmul_traced(
-            &b, &params, &mut inj_a, wd, &mut Tracer::disabled());
+            &b, &params, &mut inj_a, wd, &mut Tracer::disabled()).map(|(r, _)| r);
         let want = sparse::reference::simulate_sparse_matmul_traced(
             &b, &params, &mut inj_b, wd, &mut Tracer::disabled());
         prop_assert_eq!(got, want);
@@ -315,7 +316,8 @@ fn sparse_deadlock_is_byte_identical() {
         &mut FaultInjector::new(plan),
         wd,
         &mut Tracer::disabled(),
-    );
+    )
+    .map(|(r, _)| r);
     let want = sparse::reference::simulate_sparse_matmul_traced(
         &b,
         &params,
@@ -357,7 +359,8 @@ fn e04_scale_workloads_are_byte_identical() {
                 &mut FaultInjector::new(FaultPlan::none()),
                 wd,
                 &mut tr_a,
-            );
+            )
+            .map(|(r, _)| r);
             let want = sparse::reference::simulate_sparse_matmul_traced(
                 b,
                 &params,
@@ -388,7 +391,8 @@ fn degenerate_shapes_are_identical() {
             &mut FaultInjector::new(FaultPlan::none()),
             wd,
             &mut Tracer::disabled(),
-        ),
+        )
+        .map(|(r, _)| r),
         sparse::reference::simulate_sparse_matmul_traced(
             &empty,
             &params,

@@ -85,6 +85,7 @@ fn steal_heavy_traced_sweep_is_byte_identical_across_worker_counts() {
             .map(run_point)
             .try_collect_vec()
             .expect("traced sweep must not panic")
+            .0
             .concat();
         assert_eq!(
             merged, sequential,
@@ -121,7 +122,8 @@ fn sparse_trace_is_deterministic_under_a_stuck_lane() {
             Watchdog::default_budget(),
             &mut tracer,
         )
-        .expect("stuck-lane sparse sim under global balancing");
+        .expect("stuck-lane sparse sim under global balancing")
+        .0;
         (tracer.to_chrome_json(), r.stats.breakdown, r.stats.cycles)
     };
     let (j1, b1, c1) = run();
