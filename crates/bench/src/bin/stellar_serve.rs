@@ -7,6 +7,10 @@
 //! resident, so the memory tier survives across requests and the durable
 //! tier survives across restarts.
 //!
+//! A query is keyed once; both cache tiers hold the rendered entry, so a
+//! hit copies those bytes into the response between the echoed id and
+//! the seal — nothing is decoded or rendered again.
+//!
 //! Protocol (one JSON object per line):
 //!
 //! * `{"spec":"matmul","bounds":[4,4,4],"max_coeff":1}` — run (or
@@ -27,7 +31,7 @@
 use std::io::{BufRead, Write};
 
 use stellar_bench::cache::{
-    parse_serve_line, render_serve_error, render_serve_response, serve_line_id, DesignCache,
+    parse_serve_line, render_serve_entry, render_serve_error, serve_line_id, DesignCache,
     ServeCommand,
 };
 use stellar_bench::durable;
@@ -145,8 +149,8 @@ fn respond(cache: &DesignCache, line: &[u8]) -> Option<String> {
                 Err(e) => return Some(render_serve_error(req.id.as_deref(), &e)),
             };
             let key = QueryKey::of(&query.func, &query.bounds, &query.opts);
-            match cache.explore(&query.func, &query.bounds, &query.opts) {
-                Ok(run) => render_serve_response(&req, &key, &cache.nonce(), &run),
+            match cache.entry(&key, &query.func, &query.bounds, &query.opts) {
+                Ok((entry, cached)) => render_serve_entry(req.id.as_deref(), cached, &entry),
                 Err(e) => render_serve_error(req.id.as_deref(), &format!("search failed: {e}")),
             }
         }

@@ -6,8 +6,11 @@
 //! `stellar-design-cache-v1` payload). This module owns the runtime
 //! behavior around it:
 //!
-//! * **Memory tier** — an LRU map from key hash to the decoded value,
-//!   so a warm repeat query costs a lock, a lookup, and a clone.
+//! * **Memory tier** — an LRU map from key hash to the rendered entry
+//!   (the payload the durable tier seals), so a warm repeat query costs a
+//!   lock, a lookup, and a reference-count bump; [`DesignCache::entry`]
+//!   hands those bytes out as they are, [`DesignCache::explore`] decodes
+//!   them.
 //! * **Durable tier** — `<dir>/<key>.json`, the sealed payload in a PR 6
 //!   checksummed envelope written with `atomic_write`. Corruption of any
 //!   kind (torn file, flipped bit, foreign schema, hash collision) is
@@ -30,14 +33,13 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
-use rayon::PoolStats;
 use stellar_core::cache::{parse_cache_entry, render_cache_entry, QueryKey};
 use stellar_core::{
-    explore_dataflows_profiled, Bounds, CompileError, ExploreFunnel, ExploreOptions, ExploreRun,
-    ExploredDataflow, Functionality,
+    explore_dataflows_profiled, Bounds, CompileError, ExploreOptions, ExploreRun, Functionality,
 };
 use stellar_sim::metrics::escape;
 
@@ -88,16 +90,17 @@ impl CacheStats {
     }
 }
 
-/// The immutable cached answer for one key.
+/// The immutable cached answer for one key: the canonical query it
+/// answers and its rendered `stellar-design-cache-v1` entry — the exact
+/// payload the durable tier seals, so every tier serves the same bytes.
 struct CacheValue {
     canon: String,
-    results: Vec<ExploredDataflow>,
-    funnel: ExploreFunnel,
+    entry: Arc<str>,
 }
 
 /// One in-flight computation other threads can wait on.
 struct Flight {
-    slot: Mutex<Option<Result<Arc<CacheValue>, CompileError>>>,
+    slot: Mutex<Option<Result<Arc<str>, CompileError>>>,
     cv: Condvar,
 }
 
@@ -109,13 +112,13 @@ impl Flight {
         }
     }
 
-    fn publish(&self, r: Result<Arc<CacheValue>, CompileError>) {
+    fn publish(&self, r: Result<Arc<str>, CompileError>) {
         let mut slot = self.slot.lock().expect("flight lock");
         *slot = Some(r);
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Result<Arc<CacheValue>, CompileError> {
+    fn wait(&self) -> Result<Arc<str>, CompileError> {
         let mut slot = self.slot.lock().expect("flight lock");
         loop {
             if let Some(r) = slot.as_ref() {
@@ -128,7 +131,7 @@ impl Flight {
 
 struct Inner {
     nonce: String,
-    map: HashMap<String, Arc<CacheValue>>,
+    map: HashMap<String, CacheValue>,
     lru: VecDeque<String>,
     inflight: HashMap<String, Arc<Flight>>,
     stats: CacheStats,
@@ -136,13 +139,23 @@ struct Inner {
 
 /// What the first lookup phase decided for a query.
 enum Role {
-    Hit(Arc<CacheValue>),
+    Hit(Arc<str>),
     Follow(Arc<Flight>),
+    /// Compute (or load from disk) under the generation nonce captured
+    /// with the lookup.
     Lead(Arc<Flight>, String),
     /// 128-bit hash collision against a resident entry with a different
     /// canonical query: compute without caching (never evict the
     /// incumbent, never serve the wrong ranking).
-    Bypass,
+    Bypass(String),
+}
+
+/// How a lookup obtained its answer.
+enum Answer {
+    /// Served by a tier, or by a leader's flight when `coalesced`.
+    Stored { entry: Arc<str>, coalesced: bool },
+    /// Computed by this call: the search's own run and its rendered entry.
+    Computed(ExploreRun, Arc<str>),
 }
 
 /// The two-tier design cache. Cheap to share by reference across the
@@ -271,7 +284,8 @@ impl DesignCache {
     /// The cached equivalent of [`explore_dataflows_profiled`]: identical
     /// ranking and funnel partitions whether the answer was computed,
     /// read from disk, or coalesced onto an in-flight computation — only
-    /// the informational cache counters and worker telemetry differ.
+    /// the informational cache counters and worker telemetry differ. A
+    /// served answer is decoded from its stored entry.
     ///
     /// # Errors
     ///
@@ -284,16 +298,54 @@ impl DesignCache {
         opts: &ExploreOptions,
     ) -> Result<ExploreRun, CompileError> {
         let key = QueryKey::of(func, bounds, opts);
+        Ok(match self.answer(&key, func, bounds, opts)? {
+            Answer::Stored { entry, coalesced } => hit_run(&entry, coalesced),
+            Answer::Computed(run, _) => run,
+        })
+    }
+
+    /// The same lookup as [`DesignCache::explore`], answered as the
+    /// rendered `stellar-design-cache-v1` entry — byte-identical to
+    /// [`render_cache_entry`] over the explored run — and whether a cache
+    /// tier (or an in-flight computation) served it. `key` must be
+    /// `QueryKey::of(func, bounds, opts)`; a caller that already holds it
+    /// saves computing it again.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the [`CompileError`]s of the uncached search.
+    pub fn entry(
+        &self,
+        key: &QueryKey,
+        func: &Functionality,
+        bounds: &Bounds,
+        opts: &ExploreOptions,
+    ) -> Result<(Arc<str>, bool), CompileError> {
+        Ok(match self.answer(key, func, bounds, opts)? {
+            Answer::Stored { entry, .. } => (entry, true),
+            Answer::Computed(_, entry) => (entry, false),
+        })
+    }
+
+    /// The one lookup behind [`DesignCache::explore`] and
+    /// [`DesignCache::entry`].
+    fn answer(
+        &self,
+        key: &QueryKey,
+        func: &Functionality,
+        bounds: &Bounds,
+        opts: &ExploreOptions,
+    ) -> Result<Answer, CompileError> {
         let role = {
             let mut g = self.inner.lock().expect("cache lock");
             if let Some(v) = g.map.get(key.hex()) {
                 if v.canon == key.canon() {
-                    let v = Arc::clone(v);
+                    let entry = Arc::clone(&v.entry);
                     touch(&mut g.lru, key.hex());
                     g.stats.hits += 1;
-                    Role::Hit(v)
+                    Role::Hit(entry)
                 } else {
-                    Role::Bypass
+                    Role::Bypass(g.nonce.clone())
                 }
             } else if let Some(f) = g.inflight.get(key.hex()) {
                 Role::Follow(Arc::clone(f))
@@ -304,23 +356,30 @@ impl DesignCache {
             }
         };
         match role {
-            Role::Hit(v) => Ok(hit_run(&v, false)),
+            Role::Hit(entry) => Ok(Answer::Stored {
+                entry,
+                coalesced: false,
+            }),
             Role::Follow(f) => {
-                let v = f.wait()?;
+                let entry = f.wait()?;
                 let mut g = self.inner.lock().expect("cache lock");
                 g.stats.hits += 1;
                 g.stats.coalesced += 1;
                 drop(g);
-                Ok(hit_run(&v, true))
+                Ok(Answer::Stored {
+                    entry,
+                    coalesced: true,
+                })
             }
-            Role::Lead(f, nonce) => self.lead(&key, func, bounds, opts, &f, &nonce),
-            Role::Bypass => {
+            Role::Lead(f, nonce) => self.lead(key, func, bounds, opts, &f, &nonce),
+            Role::Bypass(nonce) => {
                 let mut run = explore_dataflows_profiled(func, bounds, opts)?;
+                let entry = render_cache_entry(key, &nonce, &run.results, &run.funnel);
                 run.funnel.cache_misses = 1;
                 let mut g = self.inner.lock().expect("cache lock");
                 g.stats.misses += 1;
                 drop(g);
-                Ok(run)
+                Ok(Answer::Computed(run, entry.into()))
             }
         }
     }
@@ -335,44 +394,44 @@ impl DesignCache {
         opts: &ExploreOptions,
         flight: &Arc<Flight>,
         nonce: &str,
-    ) -> Result<ExploreRun, CompileError> {
-        if let Some(v) = self.load_disk(key, nonce) {
+    ) -> Result<Answer, CompileError> {
+        if let Some(value) = self.load_disk(key, nonce) {
+            let entry = Arc::clone(&value.entry);
             let mut g = self.inner.lock().expect("cache lock");
-            insert_locked(&mut g, self.capacity, key.hex(), Arc::clone(&v));
+            self.insert_locked(&mut g, key.hex(), nonce, value);
             g.stats.hits += 1;
             g.stats.disk_hits += 1;
             g.inflight.remove(key.hex());
             drop(g);
-            flight.publish(Ok(Arc::clone(&v)));
-            return Ok(hit_run(&v, false));
+            flight.publish(Ok(Arc::clone(&entry)));
+            return Ok(Answer::Stored {
+                entry,
+                coalesced: false,
+            });
         }
         match explore_dataflows_profiled(func, bounds, opts) {
             Ok(mut run) => {
-                let mut stored = run.funnel;
-                stored.cache_hits = 0;
-                stored.cache_misses = 0;
-                stored.coalesced = 0;
-                let v = Arc::new(CacheValue {
-                    canon: key.canon().to_string(),
-                    results: run.results.clone(),
-                    funnel: stored,
-                });
+                let entry: Arc<str> =
+                    render_cache_entry(key, nonce, &run.results, &run.funnel).into();
                 if let Some(path) = self.entry_path(key) {
-                    let payload = render_cache_entry(key, nonce, &v.results, &v.funnel);
-                    if let Err(e) = durable::write_envelope(&path, &payload) {
+                    if let Err(e) = durable::write_envelope(&path, &entry) {
                         // A full or read-only disk degrades the durable
                         // tier, not the query.
                         eprintln!("design-cache: could not persist {}: {e}", path.display());
                     }
                 }
+                let value = CacheValue {
+                    canon: key.canon().to_string(),
+                    entry: Arc::clone(&entry),
+                };
                 let mut g = self.inner.lock().expect("cache lock");
-                insert_locked(&mut g, self.capacity, key.hex(), Arc::clone(&v));
+                self.insert_locked(&mut g, key.hex(), nonce, value);
                 g.stats.misses += 1;
                 g.inflight.remove(key.hex());
                 drop(g);
-                flight.publish(Ok(v));
+                flight.publish(Ok(Arc::clone(&entry)));
                 run.funnel.cache_misses = 1;
-                Ok(run)
+                Ok(Answer::Computed(run, entry))
             }
             Err(e) => {
                 let mut g = self.inner.lock().expect("cache lock");
@@ -385,21 +444,40 @@ impl DesignCache {
         }
     }
 
-    /// Decodes and fully validates a durable entry. Every failure mode —
-    /// unreadable file, bad checksum, foreign schema, malformed grammar,
-    /// stale generation, canonical-string mismatch — is `None`: a miss.
-    fn load_disk(&self, key: &QueryKey, nonce: &str) -> Option<Arc<CacheValue>> {
+    /// Inserts (or refreshes) a memory-tier entry stamped with generation
+    /// `nonce` and enforces the LRU bound. An entry whose generation was
+    /// invalidated while it was being computed or loaded is not kept.
+    fn insert_locked(&self, g: &mut Inner, hex: &str, nonce: &str, v: CacheValue) {
+        if g.nonce != nonce {
+            return;
+        }
+        if g.map.insert(hex.to_string(), v).is_none() {
+            g.lru.push_back(hex.to_string());
+        } else {
+            touch(&mut g.lru, hex);
+        }
+        while g.map.len() > self.capacity {
+            let Some(old) = g.lru.pop_front() else { break };
+            g.map.remove(&old);
+            g.stats.evictions += 1;
+        }
+    }
+
+    /// Loads and fully validates a durable entry, keeping its payload as
+    /// the stored entry. Every failure mode — unreadable file, bad
+    /// checksum, foreign schema, malformed grammar, stale generation,
+    /// canonical-string mismatch — is `None`: a miss.
+    fn load_disk(&self, key: &QueryKey, nonce: &str) -> Option<CacheValue> {
         let path = self.entry_path(key)?;
         let payload = durable::read_envelope(&path).ok()?;
         let entry = parse_cache_entry(&payload).ok()?;
         if !entry.matches(key) || entry.nonce != nonce {
             return None;
         }
-        Some(Arc::new(CacheValue {
+        Some(CacheValue {
             canon: entry.canon,
-            results: entry.results,
-            funnel: entry.funnel,
-        }))
+            entry: payload.into(),
+        })
     }
 }
 
@@ -415,18 +493,14 @@ pub struct DesignQuery {
     pub opts: ExploreOptions,
 }
 
-/// Builds the served [`ExploreRun`] for a cached value.
-fn hit_run(v: &CacheValue, coalesced: bool) -> ExploreRun {
-    let mut funnel = v.funnel;
-    funnel.cache_hits = 1;
-    if coalesced {
-        funnel.coalesced = 1;
-    }
-    ExploreRun {
-        results: v.results.clone(),
-        funnel,
-        workers: PoolStats::serial(0, 0.0),
-    }
+/// Decodes a stored entry into the served [`ExploreRun`].
+fn hit_run(entry: &str, coalesced: bool) -> ExploreRun {
+    let mut run = parse_cache_entry(entry)
+        .expect("a stored entry was rendered here or validated by parse_cache_entry")
+        .into_run();
+    run.funnel.cache_hits = 1;
+    run.funnel.coalesced = u64::from(coalesced);
+    run
 }
 
 /// Moves `hex` to the most-recently-used end.
@@ -435,20 +509,6 @@ fn touch(lru: &mut VecDeque<String>, hex: &str) {
         if let Some(h) = lru.remove(pos) {
             lru.push_back(h);
         }
-    }
-}
-
-/// Inserts (or refreshes) a memory-tier entry and enforces the LRU bound.
-fn insert_locked(g: &mut Inner, capacity: usize, hex: &str, v: Arc<CacheValue>) {
-    if g.map.insert(hex.to_string(), v).is_none() {
-        g.lru.push_back(hex.to_string());
-    } else {
-        touch(&mut g.lru, hex);
-    }
-    while g.map.len() > capacity {
-        let Some(old) = g.lru.pop_front() else { break };
-        g.map.remove(&old);
-        g.stats.evictions += 1;
     }
 }
 
@@ -593,36 +653,53 @@ fn spec_by_name(name: &str, extents: &[usize]) -> Result<Functionality, String> 
     }
 }
 
-/// Renders a successful query response: the ranking + funnel as the
-/// embedded cache-entry object, plus the echoed id and a served/computed
-/// flag. The caller seals it into the response envelope.
+/// Renders a successful query response from an explored run: its
+/// cache entry, wrapped by [`render_serve_entry`] with the echoed id and
+/// whether the answer was served or computed. The caller seals it into
+/// the response envelope.
 pub fn render_serve_response(
     req: &ServeRequest,
     key: &QueryKey,
     nonce: &str,
     run: &ExploreRun,
 ) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"id\":{},\"cached\":{},\"entry\":{}}}",
-        match &req.id {
-            Some(id) => format!("\"{}\"", escape(id)),
-            None => "null".into(),
-        },
+    render_serve_entry(
+        req.id.as_deref(),
         run.funnel.cache_hits > 0,
-        render_cache_entry(key, nonce, &run.results, &run.funnel)
+        &render_cache_entry(key, nonce, &run.results, &run.funnel),
     )
+}
+
+/// The one writer of a successful query response: the rendered
+/// `stellar-design-cache-v1` `entry`, copied verbatim, plus the echoed id
+/// and the `cached` flag.
+pub fn render_serve_entry(id: Option<&str>, cached: bool, entry: &str) -> String {
+    let mut s = String::with_capacity(entry.len() + 96);
+    let _ = write!(
+        s,
+        "{{\"schema\":\"{SERVE_SCHEMA}\",\"id\":{},\"cached\":{cached},\"entry\":",
+        render_id(id)
+    );
+    s.push_str(entry);
+    s.push('}');
+    s
 }
 
 /// Renders an error response (the id echoed when the line carried one).
 pub fn render_serve_error(id: Option<&str>, msg: &str) -> String {
     format!(
         "{{\"schema\":\"{SERVE_SCHEMA}\",\"id\":{},\"error\":\"{}\"}}",
-        match id {
-            Some(id) => format!("\"{}\"", escape(id)),
-            None => "null".into(),
-        },
+        render_id(id),
         escape(msg)
     )
+}
+
+/// A response's `id` member value: the escaped string, or `null`.
+fn render_id(id: Option<&str>) -> Cow<'static, str> {
+    match id {
+        Some(id) => format!("\"{}\"", escape(id)).into(),
+        None => "null".into(),
+    }
 }
 
 /// The top-level members of one protocol line the service understands.
@@ -682,11 +759,17 @@ fn read_members<'a>(line: &'a str, f: &mut LineFields<'a>) -> Result<(), String>
             "spec" => f.spec = Some(text()?),
             "bounds" => {
                 let items = raw.strip_prefix('[').and_then(|r| r.strip_suffix(']'));
+                // An extent is an `i64` coordinate bound: a larger one is
+                // out of range, not a wrapped negative.
+                let extent = |e: &str| usize::try_from(e.trim().parse::<i64>().ok()?).ok();
                 let extents = items.and_then(|items| match items.trim() {
                     "" => Some(Vec::new()),
-                    items => items.split(',').map(|e| e.trim().parse().ok()).collect(),
+                    items => items.split(',').map(extent).collect(),
                 });
-                f.bounds = Some(extents.ok_or_else(|| not("an array of non-negative integers"))?);
+                f.bounds =
+                    Some(extents.ok_or_else(|| {
+                        not(&format!("an array of integers from 0 to {}", i64::MAX))
+                    })?);
             }
             "max_coeff" => f.max_coeff = Some(raw.parse().map_err(|_| not("an integer"))?),
             "max_pes" => f.max_pes = Some(count()?),
@@ -989,7 +1072,7 @@ mod tests {
                 assert!(err.contains(field), "{line}: {err}");
             }
         }
-        for bad in r#"[2,-2,2] [2,2.0,2] [[2],2,2] "2,2,2" [2,"2",2] 7"#.split(' ') {
+        for bad in r#"[2,-2,2] [2,2.0,2] [[2],2,2] "2,2,2" [2,"2",2] 7 [9223372036854775808,2,2] [2,18446744073709551615,2]"#.split(' ') {
             let line = format!(r#"{{"spec":"matmul","bounds":{bad}}}"#);
             let err = parse_serve_line(&line).expect_err(&line);
             assert!(err.contains("bounds"), "{line}: {err}");

@@ -8,7 +8,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use stellar_bench::cache::{DesignCache, STATE_FILE};
+use stellar_bench::cache::{
+    parse_serve_line, render_serve_entry, render_serve_response, DesignCache, ServeCommand,
+    STATE_FILE,
+};
 use stellar_bench::durable;
 use stellar_core::cache::QueryKey;
 use stellar_core::prelude::*;
@@ -71,6 +74,75 @@ fn computed_memory_and_disk_answers_equal_the_uncached_oracle() {
         partitions.cache_misses = 0;
         partitions.coalesced = 0;
         assert_eq!(partitions, oracle.funnel, "{label} funnel diverged");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every way of answering one query responds with the same bytes: the
+/// computed miss, a memory hit, a disk hit after reopening, a follower
+/// coalesced onto an in-flight computation, and `render_serve_response`
+/// over `explore()`'s run all carry the byte-identical entry and differ
+/// only in `cached`.
+#[test]
+fn every_tier_answers_the_same_bytes() {
+    let dir = scratch("tiers");
+    let req = match parse_serve_line(r#"{"id":"q","spec":"matmul","bounds":[4,4,4]}"#) {
+        Ok(ServeCommand::Query(req)) => req,
+        other => panic!("expected a query, got {other:?}"),
+    };
+    let q = req.to_query().unwrap();
+    let (func, bounds, opts) = (&q.func, &q.bounds, &q.opts);
+    let key = QueryKey::of(func, bounds, opts);
+    let respond = |(entry, cached): (Arc<str>, bool)| render_serve_entry(Some("q"), cached, &entry);
+
+    let cache = DesignCache::open(&dir).unwrap();
+    let (entry, cached) = cache.entry(&key, func, bounds, opts).unwrap();
+    assert!(!cached, "the first query must compute");
+    let computed = render_serve_entry(Some("q"), false, &entry);
+    let served = render_serve_entry(Some("q"), true, &entry);
+
+    let memory = respond(cache.entry(&key, func, bounds, opts).unwrap());
+    assert_eq!(memory, served, "memory hit");
+    let run = cache.explore(func, bounds, opts).unwrap();
+    let explored = render_serve_response(&req, &key, &cache.nonce(), &run);
+    assert_eq!(explored, served, "explore() memory hit");
+    let oracle = explore_dataflows_profiled(func, bounds, opts).unwrap();
+    let uncached = render_serve_response(&req, &key, &cache.nonce(), &oracle);
+    assert_eq!(uncached, computed, "uncached search");
+
+    let reopened = DesignCache::open(&dir).unwrap();
+    let disk = respond(reopened.entry(&key, func, bounds, opts).unwrap());
+    assert_eq!(reopened.stats().disk_hits, 1);
+    assert_eq!(disk, served, "disk hit");
+
+    // Followers: threads released together on a cache of the same
+    // generation with no entry yet. The leader's search and fsync leave a
+    // wide window, but a round where every thread arrived late is retried.
+    let state = fs::read(dir.join(STATE_FILE)).unwrap();
+    for round in 0.. {
+        assert!(round < 20, "no follower coalesced in 20 rounds");
+        let fresh = scratch(&format!("tiers-{round}"));
+        fs::create_dir_all(&fresh).unwrap();
+        fs::write(fresh.join(STATE_FILE), &state).unwrap();
+        let shared = DesignCache::open(&fresh).unwrap();
+        let barrier = std::sync::Barrier::new(4);
+        let answers: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        respond(shared.entry(&key, func, bounds, opts).unwrap())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let _ = fs::remove_dir_all(&fresh);
+        assert_eq!(answers.iter().filter(|a| **a == computed).count(), 1);
+        assert_eq!(answers.iter().filter(|a| **a == served).count(), 3);
+        if shared.stats().coalesced > 0 {
+            break;
+        }
     }
     let _ = fs::remove_dir_all(&dir);
 }

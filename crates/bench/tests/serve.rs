@@ -135,6 +135,22 @@ fn hostile_lines_get_error_or_query_answers_and_the_service_stays_up() {
         huge.contains("\"id\":\"h3\",\"error\":") && huge.contains("2000000000001^9"),
         "{huge}"
     );
+    // A point count that overflows, or that is past the elaborator's
+    // budget, is a budget error before anything is allocated; an extent
+    // above i64::MAX is out of range, not a wrapped empty space.
+    for (id, bounds) in [
+        ("x5", "[100000000,100000000,100000000]"),
+        ("x6", "[3000,3000,3000]"),
+        ("x7", "[18446744073709551615,2,2]"),
+        ("x8", "[9223372036854775808,2,2]"),
+    ] {
+        let line = format!(r#"{{"id":"{id}","spec":"matmul","bounds":{bounds}}}"#);
+        let answer = ask(line.as_bytes());
+        assert!(
+            answer.contains(&format!("\"id\":\"{id}\",\"error\":")),
+            "{line}: {answer}"
+        );
+    }
     // The process is still there and still holds what the first line cached.
     let normal = ask(br#"{"id":"q4","spec":"matmul","bounds":[3,3,3]}"#);
     assert!(normal.contains("\"id\":\"q4\",\"cached\":true"), "{normal}");

@@ -411,7 +411,14 @@ impl<'a> Cursor<'a> {
         if len == 0 {
             return Err(CacheEntryError::Malformed("expected an integer"));
         }
-        let v = rest[..len]
+        // Only the spelling `render_cache_entry` writes (no leading zero,
+        // no `-0`), so a validated payload is the rendered one, byte for
+        // byte, and may be served as it is.
+        let text = &rest[..len];
+        if text.strip_prefix('-').unwrap_or(text).starts_with('0') && text != "0" {
+            return Err(CacheEntryError::Malformed("non-canonical integer"));
+        }
+        let v = text
             .parse()
             .map_err(|_| CacheEntryError::Malformed("integer out of range"))?;
         self.pos += len;
@@ -666,6 +673,18 @@ mod tests {
             assert!(
                 parse_cache_entry(&payload[..cut]).is_err(),
                 "truncated payload ({cut} bytes) parsed"
+            );
+        }
+        // An integer spelled other than as rendered is malformed.
+        for (from, to) in [
+            ("\"rows\":[0,", "\"rows\":[-0,"),
+            ("\"num_pes\":", "\"num_pes\":0"),
+        ] {
+            let respelled = payload.replacen(from, to, 1);
+            assert_ne!(respelled, payload);
+            assert_eq!(
+                parse_cache_entry(&respelled).unwrap_err(),
+                CacheEntryError::Malformed("non-canonical integer")
             );
         }
         // A foreign schema is a schema mismatch.

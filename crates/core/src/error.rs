@@ -34,8 +34,9 @@ pub enum CompileError {
     UnknownIndex(String),
     /// The memory specification is inconsistent with the tensor it stores.
     BadMemorySpec(String),
-    /// The interpreter exceeded its iteration-point budget — the watchdog
-    /// against runaway (or adversarially huge) iteration spaces.
+    /// The iteration space has more points than the elaborator or the
+    /// interpreter will build — the watchdog against runaway (or
+    /// adversarially huge) iteration spaces.
     BudgetExhausted {
         /// The point budget that was exhausted.
         budget: u64,
@@ -89,10 +90,7 @@ impl fmt::Display for CompileError {
             CompileError::UnknownIndex(name) => write!(f, "unknown iteration index '{name}'"),
             CompileError::BadMemorySpec(msg) => write!(f, "bad memory specification: {msg}"),
             CompileError::BudgetExhausted { budget } => {
-                write!(
-                    f,
-                    "interpreter exceeded its budget of {budget} iteration points"
-                )
+                write!(f, "iteration space exceeds the budget of {budget} points")
             }
             CompileError::WorkerPanicked { message } => {
                 write!(f, "dataflow search worker panicked: {message}")

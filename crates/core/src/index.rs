@@ -116,12 +116,15 @@ impl Bounds {
     ///
     /// # Panics
     ///
-    /// Panics if any extent is zero.
+    /// Panics if any extent is zero or above `i64::MAX`.
     pub fn from_extents(extents: &[usize]) -> Bounds {
         assert!(extents.iter().all(|&e| e > 0), "extents must be non-zero");
         Bounds {
             lo: vec![0; extents.len()],
-            hi: extents.iter().map(|&e| e as i64).collect(),
+            hi: extents
+                .iter()
+                .map(|&e| i64::try_from(e).expect("extents must fit in i64"))
+                .collect(),
         }
     }
 
@@ -171,13 +174,13 @@ impl Bounds {
         self.lo[d].abs().max((self.hi[d] - 1).abs())
     }
 
-    /// Total number of points in the iteration space.
+    /// Total number of points in the iteration space, saturating at
+    /// `usize::MAX`, so a budget check against it cannot be passed by a
+    /// count that wrapped.
     pub fn num_points(&self) -> usize {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(&l, &h)| (h - l).max(0) as usize)
-            .product()
+        self.lo.iter().zip(&self.hi).fold(1, |n: usize, (&l, &h)| {
+            n.saturating_mul(usize::try_from(h.saturating_sub(l)).unwrap_or(0))
+        })
     }
 
     /// Returns `true` if the point lies within bounds.
@@ -267,6 +270,9 @@ mod tests {
         assert_eq!(b.rank(), 2);
         assert_eq!(b.extent(idx(0)), 3);
         assert_eq!(b.num_points(), 12);
+        // A count past `usize::MAX` saturates rather than wrapping small.
+        let huge = Bounds::from_extents(&[1 << 32, 1 << 32, 2]);
+        assert_eq!(huge.num_points(), usize::MAX);
         assert!(b.contains(&[2, 3]));
         assert!(!b.contains(&[3, 0]));
         assert!(!b.contains(&[0]));

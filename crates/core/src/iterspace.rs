@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::CompileError;
+use crate::exec::DEFAULT_POINT_BUDGET;
 use crate::func::{Functionality, TensorId, VarId};
 use crate::index::Bounds;
 
@@ -130,7 +131,9 @@ impl IterationSpace {
     /// # Errors
     ///
     /// Returns an error if the functionality fails validation or has
-    /// inconsistent recurrences.
+    /// inconsistent recurrences, and [`CompileError::BudgetExhausted`] —
+    /// before allocating anything — for a space of more than
+    /// [`DEFAULT_POINT_BUDGET`] points.
     pub fn elaborate(
         func: &Functionality,
         bounds: &Bounds,
@@ -142,6 +145,11 @@ impl IterationSpace {
                 bounds.rank(),
                 func.rank()
             )));
+        }
+        if bounds.num_points() as u64 > DEFAULT_POINT_BUDGET {
+            return Err(CompileError::BudgetExhausted {
+                budget: DEFAULT_POINT_BUDGET,
+            });
         }
         let mut points = Vec::with_capacity(bounds.num_points());
         let mut ids = HashMap::with_capacity(bounds.num_points());
