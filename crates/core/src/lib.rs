@@ -66,7 +66,7 @@ pub mod sparsity;
 pub mod spec;
 pub mod transform;
 
-pub use analytic::{AnalyticScorer, AnalyticScratch};
+pub use analytic::{AnalyticScorer, AnalyticScratch, KernelCounts, KernelTable};
 pub use balance::{Granularity, Region, ShiftSpec};
 pub use cache::{
     parse_cache_entry, render_cache_entry, CacheEntry, CacheEntryError, QueryKey, CACHE_SCHEMA,

@@ -254,7 +254,7 @@ fn steal_heavy_skewed_sweep_is_byte_identical_across_worker_counts() {
     // surviving candidates pay the full space-time fold while rejects are
     // nearly free, so per-shard cost is pathologically skewed and idle
     // workers must steal from their loaded peers to finish. Explicit
-    // `parallelism` spawns exactly that many pool workers — over-
+    // `parallelism` runs exactly that many pool workers — over-
     // subscribing the machine when it has fewer cores — so the deques and
     // the steal path are genuinely exercised even on a single-core
     // runner. Rankings and funnels must stay byte-identical to the
@@ -325,4 +325,62 @@ fn panicking_shard_is_isolated_and_ranking_unperturbed() {
         "a caught panic perturbed a later clean sweep"
     );
     assert_eq!(byte_image(&sweep(1, 0)), byte_image(&sweep(1, 1)));
+}
+
+/// The funnel of the matmul(3,3,3) sweep at `keep = 64`, as the
+/// per-candidate analytical tier booked it before the kernel-class table:
+/// every scored candidate analytic, every survivor materialized, every
+/// other counter zero. `ExploreFunnel::fields()` is serialized into design
+/// cache entries, so any shift in tier attribution would change on-disk
+/// bytes.
+fn pinned_funnel(
+    decoded: u64,
+    causality_rejected: u64,
+    singular: u64,
+    scored: u64,
+    dedup_collisions: u64,
+    survivors: u64,
+) -> ExploreFunnel {
+    ExploreFunnel {
+        decoded,
+        causality_rejected,
+        singular,
+        analytic_scored: scored,
+        scored,
+        dedup_collisions,
+        survivors,
+        materialized: survivors,
+        ..ExploreFunnel::default()
+    }
+}
+
+fn assert_funnel_pinned(max_coeff: i64, want: ExploreFunnel) {
+    let f = Functionality::matmul(3, 3, 3);
+    let bounds = Bounds::from_extents(&[3, 3, 3]);
+    for parallelism in [1usize, 2, 4] {
+        let run =
+            explore_dataflows_profiled(&f, &bounds, &sweep_opts(max_coeff, parallelism)).unwrap();
+        assert_eq!(
+            run.funnel, want,
+            "max_coeff={max_coeff} parallelism={parallelism}: funnel moved"
+        );
+    }
+}
+
+#[test]
+fn funnel_is_pinned_at_max_coeff_1_and_2() {
+    assert_funnel_pinned(1, pinned_funnel(19_683, 18_954, 273, 456, 452, 4));
+    assert_funnel_pinned(
+        2,
+        pinned_funnel(1_953_125, 1_828_125, 17_264, 107_736, 107_708, 28),
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "40M candidates: release builds only")]
+fn funnel_is_pinned_at_max_coeff_3() {
+    assert_funnel_pinned(
+        3,
+        pinned_funnel(40_353_607, 37_177_084, 192_483, 2_984_040, 2_983_991, 49),
+    );
 }

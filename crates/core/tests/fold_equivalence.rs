@@ -16,6 +16,7 @@ use stellar_core::spacetime::reference;
 use stellar_core::{
     explore_dataflows, explore_dataflows_reference, summarize_array, AnalyticScorer,
     AnalyticScratch, ExploreOptions, FoldScorer, FoldScratch, IterationSpace, SpatialArray,
+    StructureSummary,
 };
 use stellar_linalg::IntMat;
 
@@ -89,6 +90,185 @@ fn prefix_sum(rank: usize) -> Functionality {
         Expr::Var(v, with_last(IdxExpr::Upper(last))),
     );
     f
+}
+
+/// `v(p) = v(p − d) + x(p)` over `(i, j, k)`, written out as
+/// `y(i, k) = v(i, j.upper, k)`: one recurrence along a fixed difference
+/// `d ≥ 0`. (`validate` rejects reads of future iterations, so no
+/// difference vector has a negative entry; the sign sensitivity the
+/// kernel table must respect comes from the kernel direction instead —
+/// `v = (1, −1, 0)` against `d = (1, 1, 0)`.)
+fn recurrence_along(d: [i64; 3]) -> Functionality {
+    let mut f = Functionality::new(format!("recurrence_{}_{}_{}", d[0], d[1], d[2]));
+    let idxs: Vec<_> = ["i", "j", "k"].iter().map(|n| f.index(*n)).collect();
+    let x = f.input_tensor("x", &idxs);
+    let y = f.output_tensor("y", &[idxs[0], idxs[2]]);
+    let v = f.var("v");
+    let here: Vec<_> = idxs.iter().map(|&i| at(i)).collect();
+    let back: Vec<_> = idxs.iter().zip(d).map(|(&i, dd)| shifted(i, -dd)).collect();
+    f.assign(
+        v,
+        here.clone(),
+        Expr::add(Expr::Var(v, back), Expr::Input(x, here.clone())),
+    );
+    f.output(
+        y,
+        vec![here[0], here[2]],
+        Expr::Var(v, vec![here[0], IdxExpr::Upper(idxs[1]), here[2]]),
+    );
+    f
+}
+
+/// The rank-3 functionalities of the kernel-class proofs: matmul (every
+/// difference an axis) and two diagonal recurrences.
+fn rank3_func(which: usize) -> Functionality {
+    match which {
+        0 => Functionality::matmul(1, 1, 1),
+        1 => recurrence_along([1, 1, 0]),
+        _ => recurrence_along([0, 1, 1]),
+    }
+}
+
+/// Rank-3 candidates with entries in `-3..=3`: uniformly random, or with
+/// space rows whose kernel is `±(1, 1, 0)`, `±(1, −1, 0)` or `±(0, 1, 1)`
+/// — the kernels against which a diagonal recurrence is stationary or not
+/// depending on the kernel's signs, which random rows rarely hit.
+fn rank3_rows() -> impl Strategy<Value = Vec<i64>> {
+    let space = [[1, -1, 0, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, -1, 1, 0, 0]];
+    prop_oneof![
+        proptest::collection::vec(-3i64..=3, 9),
+        (
+            proptest::sample::select(space.to_vec()),
+            proptest::collection::vec(-3i64..=3, 3),
+        )
+            .prop_map(|(space, t)| [space.to_vec(), t].concat()),
+    ]
+}
+
+/// Random box bounds: a lower bound in `-2..=2` and an extent in `1..=4`
+/// per axis.
+fn box_ranges(rank: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
+    proptest::collection::vec((-2i64..=2, 1i64..=4), rank)
+        .prop_map(|axes| axes.into_iter().map(|(lo, e)| (lo, lo + e)).collect())
+}
+
+/// Re-mixes the `rank − 1` space rows of a flat candidate by a random
+/// unimodular `U` — a product of elementary row operations: add `m ×` one
+/// row to another, swap two rows, negate a row. The time row is untouched.
+fn unimodular_mix(rows: &[i64], rank: usize, ops: &[(u8, usize, usize, i64)]) -> Vec<i64> {
+    let mut out = rows.to_vec();
+    let n = rank - 1;
+    for &(op, a, b, m) in ops {
+        let (a, b) = (a % n, b % n);
+        match op % 3 {
+            0 if a != b => {
+                for c in 0..rank {
+                    out[a * rank + c] += m * out[b * rank + c];
+                }
+            }
+            1 => {
+                for c in 0..rank {
+                    out.swap(a * rank + c, b * rank + c);
+                }
+            }
+            _ => {
+                for x in &mut out[a * rank..(a + 1) * rank] {
+                    *x = -*x;
+                }
+            }
+        }
+    }
+    out
+}
+
+fn mix_ops() -> impl Strategy<Value = Vec<(u8, usize, usize, i64)>> {
+    proptest::collection::vec((0u8..3, 0usize..3, 0usize..3, -2i64..=2), 0..5)
+}
+
+/// The kernel-class invariance the search's table relies on, for one
+/// candidate `rows` (entries within `max_coeff`) and one re-mix of its
+/// space rows:
+///
+/// * the kernel table's summary (class counts plus `time_steps`) equals
+///   `score_rows`, which equals the fold — and the table declines exactly
+///   when `score_rows` does;
+/// * re-mixing the space rows by a unimodular `U` changes neither the
+///   table's class and counts (its raw cofactors are `det U = ±1` times
+///   the original's), nor `score_rows`, nor the fold's summary.
+fn check_kernel_class(
+    f: &Functionality,
+    ranges: &[(i64, i64)],
+    rows: &[i64],
+    ops: &[(u8, usize, usize, i64)],
+    max_coeff: i64,
+) -> Result<(), TestCaseError> {
+    let rank = ranges.len();
+    if IntMat::from_vec(rank, rank, rows.to_vec()).det() == 0 {
+        return Ok(()); // the search rejects singular matrices before scoring
+    }
+    let is = IterationSpace::elaborate(f, &Bounds::from_ranges(ranges)).unwrap();
+    let analytic = AnalyticScorer::try_new(&is, f);
+    prop_assert!(
+        analytic.is_some(),
+        "{} must admit the analytical tier",
+        f.name()
+    );
+    let analytic = analytic.unwrap();
+    let table = analytic.kernel_table(max_coeff);
+    prop_assert!(
+        table.is_some(),
+        "max_coeff {max_coeff} must fit a kernel table"
+    );
+    let table = table.unwrap();
+    let fold = FoldScorer::new(&is, f);
+    let mut ascratch = AnalyticScratch::for_scorer(&analytic);
+    let mut fscratch = FoldScratch::for_scorer(&fold);
+    let n_space = rank * (rank - 1);
+
+    let mut table_summary = |rows: &[i64]| -> Option<(usize, StructureSummary)> {
+        let (class, counts) = table.lookup(ascratch.cofactors(&rows[..n_space]))?;
+        Some((
+            class,
+            counts.with_time_steps(analytic.time_steps(&rows[n_space..])?),
+        ))
+    };
+    let mixed = unimodular_mix(rows, rank, ops);
+    let tabled = table_summary(rows);
+    let tabled_mixed = table_summary(&mixed);
+    prop_assert_eq!(tabled, tabled_mixed, "the re-mix moved the kernel class");
+
+    let scored = analytic.score_rows(rows, &mut ascratch);
+    let scored_mixed = analytic.score_rows(&mixed, &mut ascratch);
+    prop_assert_eq!(
+        scored,
+        scored_mixed,
+        "the re-mix changed the analytic summary"
+    );
+    prop_assert_eq!(
+        tabled.map(|(_, s)| s),
+        scored,
+        "table and score_rows disagree"
+    );
+
+    let folded = fold
+        .score_rows(rows, &mut fscratch)
+        .expect("small folds are packable");
+    let folded_mixed = fold.score_rows(&mixed, &mut fscratch).expect("packable");
+    prop_assert_eq!(
+        folded.as_ref().ok(),
+        folded_mixed.as_ref().ok(),
+        "the re-mix changed the fold"
+    );
+    match (scored, folded) {
+        (Some(s), Ok(fs)) => prop_assert_eq!(s, fs),
+        (None, Err(_)) => {}
+        (scored, folded) => {
+            return Err(TestCaseError::fail(format!(
+                "analytic and fold disagree on {rows:?}: {scored:?} vs {folded:?}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// For one candidate matrix over one space: the scorer returns exactly
@@ -238,4 +418,81 @@ proptest! {
             prop_assert_eq!(e.summary(), summarize_array(&arr));
         }
     }
+
+    /// The kernel-class invariance at rank 3 over random boxes, entries
+    /// in `-3..=3` (the 7⁹ sweep's), and random unimodular re-mixes — on
+    /// matmul and on the diagonal recurrences, where stationarity depends
+    /// on the kernel's sign pattern and not just its magnitudes.
+    #[test]
+    fn kernel_table_matches_score_rows_and_the_fold(
+        which in 0usize..3,
+        ranges in box_ranges(3),
+        rows in rank3_rows(),
+        ops in mix_ops(),
+    ) {
+        check_kernel_class(&rank3_func(which), &ranges, &rows, &ops, 3)?;
+    }
+
+    /// The same at rank 2 (`max_coeff = 3`), through the Bareiss arm of
+    /// the cofactor routine.
+    #[test]
+    fn kernel_table_matches_at_rank_2(
+        ranges in box_ranges(2),
+        rows in proptest::collection::vec(-3i64..=3, 4),
+        ops in mix_ops(),
+    ) {
+        check_kernel_class(&prefix_sum(2), &ranges, &rows, &ops, 3)?;
+    }
+}
+
+proptest! {
+    // A rank-4 table walks 3¹² space-row tuples through Bareiss minors;
+    // a few cases keep debug builds quick.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The same at rank 4, through the Bareiss arm of the cofactor routine
+    /// (`max_coeff = 1`; rank 4 at 2 exceeds the table's bit budget).
+    #[test]
+    fn kernel_table_matches_at_rank_4(
+        ranges in box_ranges(4),
+        rows in proptest::collection::vec(-1i64..=1, 16),
+        ops in mix_ops(),
+    ) {
+        check_kernel_class(&prefix_sum(4), &ranges, &rows, &ops, 1)?;
+    }
+}
+
+/// Kernels `(1, 1, 0)` and `(1, −1, 0)` cut every box into the same lines,
+/// but only the first is parallel to the diagonal recurrence
+/// `d = (1, 1, 0)`: its wires stay in their PE. A table keyed on `|v|`
+/// would give both candidates one summary.
+#[test]
+fn stationarity_follows_the_signed_kernel() {
+    let f = recurrence_along([1, 1, 0]);
+    let is = IterationSpace::elaborate(&f, &Bounds::from_extents(&[3, 3, 3])).unwrap();
+    let analytic = AnalyticScorer::try_new(&is, &f).unwrap();
+    let table = analytic.kernel_table(1).unwrap();
+    let fold = FoldScorer::new(&is, &f);
+    let mut ascratch = AnalyticScratch::for_scorer(&analytic);
+    let mut fscratch = FoldScratch::for_scorer(&fold);
+    // Space rows with kernel ∝ (1, 1, 0), then ∝ (1, −1, 0); time row (1, 0, 1).
+    let along = [1, -1, 0, 0, 0, 1, 1, 0, 1];
+    let across = [1, 1, 0, 0, 0, 1, 1, 0, 1];
+    let mut summaries = Vec::new();
+    for rows in [along, across] {
+        let folded = fold.score_rows(&rows, &mut fscratch).unwrap().unwrap();
+        let (_, counts) = table.lookup(ascratch.cofactors(&rows[..6])).unwrap();
+        assert_eq!(
+            counts.with_time_steps(analytic.time_steps(&rows[6..]).unwrap()),
+            folded
+        );
+        assert_eq!(analytic.score_rows(&rows, &mut ascratch), Some(folded));
+        summaries.push(folded);
+    }
+    assert_eq!(summaries[0].num_pes, summaries[1].num_pes);
+    assert_eq!(
+        (summaries[0].moving_conns, summaries[1].stationary_conns),
+        (0, 0)
+    );
+    assert!(summaries[0].stationary_conns > 0 && summaries[1].moving_conns > 0);
 }
