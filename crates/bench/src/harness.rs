@@ -95,13 +95,14 @@ pub fn report_path(out_dir: &Path, name: &str) -> PathBuf {
 
 /// Resolves a `--only` selection: a comma-separated list of experiment
 /// ids (`e04`) and/or full binary names (`e04_load_balance`), in the
-/// order given, duplicates preserved as written. Whitespace around
-/// separators is ignored; empty items are skipped.
+/// order given. Whitespace around separators is ignored; empty items are
+/// skipped.
 ///
 /// # Errors
 ///
-/// A message naming the first unknown experiment, or an error when the
-/// list selects nothing.
+/// A message naming the first unknown or repeated experiment (by id or
+/// by name: each experiment owns one report file and one `metrics.json`
+/// key), or an error when the list selects nothing.
 pub fn select_experiments(list: &str) -> Result<Vec<&'static str>, String> {
     let mut picked = Vec::new();
     for want in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -109,6 +110,9 @@ pub fn select_experiments(list: &str) -> Result<Vec<&'static str>, String> {
             .iter()
             .find(|e| **e == want || experiment_id(e) == want)
             .ok_or_else(|| format!("unknown experiment {want:?}"))?;
+        if picked.contains(found) {
+            return Err(format!("duplicate experiment {want:?}"));
+        }
         picked.push(*found);
     }
     if picked.is_empty() {
@@ -546,7 +550,13 @@ fn launch_once(
         (_, 0) => None,
         (_, ms) => Some(started + Duration::from_millis(ms)),
     };
-    let waited = wait_with_deadline(&mut child, deadline);
+    let waited = match wait_with_deadline(&mut child, deadline) {
+        // A child that exited before the chaos kill landed (SIGKILL on a
+        // zombie is a no-op) still counts as killed, so the injected
+        // fault does not depend on how fast the child ran.
+        Ok(_) if fate == Fate::Kill => Ok(false),
+        w => w,
+    };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let stdout = out_reader.join().unwrap_or_default();
     let stderr = err_reader.join().unwrap_or_default();
@@ -1163,11 +1173,16 @@ mod tests {
             select_experiments(" e04_load_balance , e01 ").unwrap(),
             vec!["e04_load_balance", "e01_dataflows"]
         );
-        // Duplicates are preserved as written — a caller asking to run
-        // an experiment twice gets it twice.
+        // A repeat, by id or by name, is an error: two runs of one
+        // experiment would write one report file and duplicate its
+        // `metrics.json` keys.
         assert_eq!(
-            select_experiments("e01,e01").unwrap(),
-            vec!["e01_dataflows", "e01_dataflows"]
+            select_experiments("e01,e01"),
+            Err("duplicate experiment \"e01\"".to_string())
+        );
+        assert_eq!(
+            select_experiments("e01, e04 ,e01_dataflows"),
+            Err("duplicate experiment \"e01_dataflows\"".to_string())
         );
         assert!(select_experiments("e99").is_err());
         assert!(select_experiments("e01,bogus").is_err());

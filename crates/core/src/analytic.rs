@@ -40,26 +40,27 @@
 //! The closed form therefore splits by what it depends on:
 //! [`AnalyticScorer::kernel_counts`] reads the space rows only through
 //! `v` (PEs, moving and stationary wires, IO ports), and
-//! [`AnalyticScorer::time_steps`] reads only the time row;
-//! [`AnalyticScorer::score_rows`] is their composition. Since `v` is
+//! [`AnalyticScorer::time_steps`] reads only the time row. Since `v` is
 //! unchanged by any unimodular re-mix `U·S` of the space rows, so is the
 //! summary, and a search needs `kernel_counts` once per raw cofactor
 //! vector, not once per candidate: [`KernelTable`] maps every raw vector
 //! a search can meet to its counts — 9,150 raw vectors in 7 distinct
 //! count records for the 7⁹ sweep over a 3×3×3 box.
+//! [`AnalyticScorer::score_rows`], their composition per candidate, is
+//! the tests' oracle for the table.
 //!
 //! [`AnalyticScorer::try_new`] verifies the geometric preconditions
 //! *exactly once per search* (bit vectors over the elaborated points,
 //! connections, and IO requests); if any fails it returns `None` and the
 //! search scores every candidate through the fold, exactly as before.
-//! Per candidate, [`AnalyticScorer::score_rows`] costs O(rank³ + groups)
-//! — independent of the number of lattice points — and returns `None`
-//! (fall back to the fold) on any arithmetic overflow or causality
-//! violation, so it never has to reproduce the fold's error values: a
-//! `Some` summary is byte-identical to the fold's, which
-//! `crates/core/tests/fold_equivalence.rs` proves by proptest, and the
-//! search re-folds every ranked survivor as an oracle backstop
-//! ([`CompileError::AnalyticDivergence`] if the tiers ever disagree).
+//! Per candidate, the closed form costs O(rank³ + groups) — independent
+//! of the number of lattice points — and declines (fall back to the fold)
+//! on any arithmetic overflow or causality violation, so it never has to
+//! reproduce the fold's error values: a summary it does produce is
+//! byte-identical to the fold's, which `crates/core/tests/fold_equivalence.rs`
+//! proves by proptest, and the search re-folds every ranked survivor as an
+//! oracle backstop ([`CompileError::AnalyticDivergence`] if the tiers ever
+//! disagree).
 //!
 //! [`IterationSpace::elaborate`]: crate::iterspace::IterationSpace::elaborate
 //! [`CompileError::AnalyticDivergence`]: crate::error::CompileError::AnalyticDivergence
@@ -73,9 +74,9 @@ use crate::func::Functionality;
 use crate::iterspace::{IoDir, IterationSpace, PointId};
 
 /// Largest cofactor box, in points, a [`KernelTable`] is built for (its
-/// half-box bitset is then at most 128 KiB). The smallest search it
-/// excludes is rank 3 at `max_coeff = 6`, `13⁹ ≈ 1.1·10¹⁰` candidates;
-/// every other excluded search is larger still.
+/// `u16` slots over the half box then take at most 2 MiB). The smallest
+/// search it excludes is rank 3 at `max_coeff = 6`, `13⁹ ≈ 1.1·10¹⁰`
+/// candidates; every other excluded search is larger still.
 const TABLE_BOX_BUDGET: usize = 1 << 21;
 
 /// One per-variable connection class: the shared recurrence difference
@@ -104,14 +105,19 @@ pub struct AnalyticScratch {
 }
 
 impl AnalyticScratch {
-    /// Scratch sized for one scorer.
-    pub fn for_scorer(s: &AnalyticScorer) -> AnalyticScratch {
-        let m = s.rank.saturating_sub(1);
+    /// Scratch for matrices of the given rank.
+    pub(crate) fn new(rank: usize) -> AnalyticScratch {
+        let m = rank.saturating_sub(1);
         AnalyticScratch {
             minor: vec![0; m * m],
             det: vec![0; m * m],
-            v: vec![0; s.rank],
+            v: vec![0; rank],
         }
+    }
+
+    /// Scratch sized for one scorer.
+    pub fn for_scorer(s: &AnalyticScorer) -> AnalyticScratch {
+        AnalyticScratch::new(s.rank)
     }
 
     /// The signed cofactor vector `c` of the `rank − 1` space rows (flat,
@@ -119,8 +125,9 @@ impl AnalyticScratch {
     /// `det [S; t] = t · c` for every time row `t`. Exact while the space
     /// rows' entries `b` satisfy `(rank−1)! · b^(rank−1) ≤ i64::MAX`;
     /// callers certify that first (beyond it the result is unspecified).
+    /// The vector is the scratch's own, free to be reduced in place.
     #[inline]
-    pub fn cofactors(&mut self, space: &[i64]) -> &[i64] {
+    pub fn cofactors(&mut self, space: &[i64]) -> &mut [i64] {
         let r = self.v.len();
         debug_assert_eq!(space.len(), r * (r - 1));
         match r {
@@ -145,7 +152,7 @@ impl AnalyticScratch {
                 }
             }
         }
-        &self.v
+        &mut self.v
     }
 }
 
@@ -244,10 +251,19 @@ fn cofactor_bound(rank: usize, b: u64) -> Option<i64> {
     (1..rank as i64).try_fold(1i64, |k, f| k.checked_mul(f)?.checked_mul(b))
 }
 
+/// The cofactor bound `K` of a search whose entries lie in
+/// `−max_coeff..=max_coeff`, when its determinants `t · c`, at most
+/// `rank · max_coeff · K` in magnitude, are exact in `i64` too.
+pub(crate) fn search_cofactor_bound(rank: usize, max_coeff: i64) -> Option<i64> {
+    let k = cofactor_bound(rank, u64::try_from(max_coeff).ok()?)?;
+    (rank as i64).checked_mul(max_coeff)?.checked_mul(k)?;
+    Some(k)
+}
+
 /// Divides a vector by the gcd of its entries in place, leaving its
 /// primitive direction. Returns `false` (leaving `v` untouched) for the
 /// zero vector.
-fn make_primitive(v: &mut [i64]) -> bool {
+pub(crate) fn make_primitive(v: &mut [i64]) -> bool {
     let g = v.iter().fold(0u64, |acc, &x| gcd(acc, x.unsigned_abs()));
     if g == 0 {
         return false;
@@ -449,17 +465,14 @@ impl AnalyticScorer {
         self.rank
     }
 
-    /// Scores a candidate from its flat row-major matrix (which must be
-    /// invertible — the search checks the determinant first). Returns the
+    /// Scores an invertible candidate from its flat row-major matrix: the
     /// exact [`StructureSummary`] the fold would produce, or `None` if a
-    /// closed form does not apply to this candidate (a causality
-    /// violation, entries too large for exact cofactors, or arithmetic
-    /// overflow) — callers fall back to the fold, which classifies the
-    /// candidate exactly as if this tier did not exist.
-    ///
-    /// The composition of [`AnalyticScorer::kernel_counts`] on the
-    /// primitive kernel direction of the space rows and
-    /// [`AnalyticScorer::time_steps`] on the time row.
+    /// closed form does not apply (a causality violation, entries too
+    /// large for exact cofactors, or arithmetic overflow). The composition
+    /// of [`AnalyticScorer::kernel_counts`] on the primitive kernel
+    /// direction of the space rows and [`AnalyticScorer::time_steps`] on
+    /// the time row, step by step — the oracle the tests hold the search's
+    /// table lookups to.
     pub fn score_rows(
         &self,
         rows: &[i64],
@@ -538,86 +551,50 @@ impl AnalyticScorer {
     /// vector, mapped to the counts of its primitive direction. `None`
     /// when cofactors of such entries are not certified exact in `i64`, or
     /// their box `[−K, K]^rank`, `K = (rank−1)! · max_coeff^(rank−1)`,
-    /// exceeds a fixed budget of 2²¹ points, or it holds more than 65,536
+    /// exceeds a fixed budget of 2²¹ points, or it holds more than 65,535
     /// classes.
     ///
     /// The build walks the `(2·max_coeff+1)^(rank·(rank−1))` space-row
     /// tuples once — the size of one time-row block of the search — and
-    /// allocates nothing sizable beyond the table itself.
+    /// takes `kernel_counts` once per slot it fills.
     pub fn kernel_table(&self, max_coeff: i64) -> Option<KernelTable> {
         let r = self.rank;
-        let k = cofactor_bound(r, u64::try_from(max_coeff).ok()?)?;
-        // The determinant `t · c` must be exact too.
-        (r as i64).checked_mul(max_coeff)?.checked_mul(k)?;
+        let k = search_cofactor_bound(r, max_coeff)?;
         let side = usize::try_from(k).ok()?.checked_mul(2)?.checked_add(1)?;
-        let box_bits = side
+        let last = side
             .checked_pow(r as u32)
-            .filter(|&n| n <= TABLE_BOX_BUDGET)?;
-        // `c` and `−c` sit at mirrored box positions `p` and `last − p` and
-        // always share their counts, so only the lower half is stored.
-        let last = box_bits - 1;
-        let pos = |v: &[i64]| {
-            let p = v.iter().fold(0usize, |p, &x| p * side + (x + k) as usize);
-            p.min(last - p)
-        };
-
-        // Mark every nonzero raw cofactor vector.
-        let mut bits = vec![0u64; (last / 2 + 1).div_ceil(64)];
-        let mut scratch = AnalyticScratch::for_scorer(self);
-        let mut space = vec![-max_coeff; r * (r - 1)];
-        loop {
-            let p = pos(scratch.cofactors(&space));
-            bits[p >> 6] |= 1 << (p & 63);
-            if !odometer_step(&mut space, max_coeff) {
-                break;
-            }
-        }
-        let v = &mut scratch.v;
-        v.fill(0);
-        let zero = pos(v);
-        bits[zero >> 6] &= !(1 << (zero & 63));
-        let mut ranks = Vec::with_capacity(bits.len());
-        let mut n_raw = 0u32;
-        for w in &bits {
-            ranks.push(n_raw);
-            n_raw += w.count_ones();
-        }
-
-        // Each raw vector's class: the counts of its primitive direction,
-        // one id per distinct record.
-        let mut class_of = Vec::with_capacity(n_raw as usize);
-        let mut classes = Vec::new();
-        let mut ids: BTreeMap<Option<KernelCounts>, u16> = BTreeMap::new();
-        for (w, &word) in bits.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let mut p = w * 64 + rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                for x in v.iter_mut().rev() {
-                    *x = (p % side) as i64 - k;
-                    p /= side;
-                }
-                make_primitive(v);
-                let counts = self.kernel_counts(v);
-                let id = match ids.entry(counts) {
-                    Entry::Occupied(id) => *id.get(),
-                    Entry::Vacant(slot) => {
-                        classes.push(counts);
-                        *slot.insert(u16::try_from(classes.len() - 1).ok()?)
-                    }
-                };
-                class_of.push(id);
-            }
-        }
-        Some(KernelTable {
+            .filter(|&n| n <= TABLE_BOX_BUDGET)?
+            - 1;
+        let mut table = KernelTable {
             k,
             side,
             last,
-            bits,
-            ranks,
-            class_of,
-            classes,
-        })
+            class_of: vec![EMPTY; last / 2 + 1],
+            classes: Vec::new(),
+        };
+        // One class id per distinct counts record.
+        let mut ids: BTreeMap<Option<KernelCounts>, u16> = BTreeMap::new();
+        let mut scratch = AnalyticScratch::new(r);
+        let mut space = vec![-max_coeff; r * (r - 1)];
+        loop {
+            let c = scratch.cofactors(&space);
+            let slot = table.slot(c)?;
+            // The zero vector (singular space rows) keeps its slot empty.
+            if table.class_of[slot] == EMPTY && make_primitive(c) {
+                let counts = self.kernel_counts(c);
+                table.class_of[slot] = match ids.entry(counts) {
+                    Entry::Occupied(id) => *id.get(),
+                    Entry::Vacant(id) => {
+                        table.classes.push(counts);
+                        let next = u16::try_from(table.classes.len() - 1).ok();
+                        *id.insert(next.filter(|&n| n != EMPTY)?)
+                    }
+                };
+            }
+            if !odometer_step(&mut space, max_coeff) {
+                return Some(table);
+            }
+        }
     }
 
     /// The peak utilization bound of a scored structure: active lattice
@@ -634,13 +611,8 @@ impl AnalyticScorer {
     }
 }
 
-/// The number of set bits before position `p`, if bit `p` is set.
-#[inline]
-fn bit_rank(bits: &[u64], ranks: &[u32], p: usize) -> Option<usize> {
-    let word = *bits.get(p >> 6)?;
-    let bit = 1u64 << (p & 63);
-    (word & bit != 0).then(|| ranks[p >> 6] as usize + (word & (bit - 1)).count_ones() as usize)
-}
+/// The class id of an empty [`KernelTable`] slot.
+const EMPTY: u16 = u16::MAX;
 
 /// The per-search kernel-class table of the analytical tier
 /// ([`AnalyticScorer::kernel_table`]): raw cofactor vector of a
@@ -650,32 +622,26 @@ fn bit_rank(bits: &[u64], ranks: &[u32], p: usize) -> Option<usize> {
 /// one lookup; the time row contributes [`AnalyticScorer::time_steps`],
 /// once per block.
 ///
-/// A bitset over the lower half of the cofactor box `[−K, K]^rank` marks
-/// the raw vectors, each folded with its negation; a per-word prefix count
-/// ranks a set bit among them, indexing a `u16` class id. For the 7⁹
-/// sweep of matmul over a 3×3×3 box that is a 50,653-point box and 9,150
-/// raw vectors (4,575 up to sign), whose 3,217 primitive directions fall
-/// into 7 classes: 14,182 bytes.
+/// One `u16` class id per slot of the lower half of the cofactor box
+/// `[−K, K]^rank`, each slot shared by a vector and its negation. For the
+/// 7⁹ sweep of matmul over a 3×3×3 box that is 25,327 slots of a
+/// 50,653-point box, 4,575 of them occupied (9,150 raw vectors), whose
+/// 3,217 primitive directions fall into 7 classes: about 50 KB.
 #[derive(Clone, Debug)]
 pub struct KernelTable {
     k: i64,
     side: usize,
     last: usize,
-    bits: Vec<u64>,
-    ranks: Vec<u32>,
     class_of: Vec<u16>,
     /// Counts per class; `None` where the closed form declined.
     classes: Vec<Option<KernelCounts>>,
 }
 
 impl KernelTable {
-    /// The class and counts of a raw cofactor vector
-    /// ([`AnalyticScratch::cofactors`]) — `None` when the vector is not a
-    /// cofactor vector of the table's search, or its class's closed form
-    /// declined (overflow): score such a candidate per candidate. Class
-    /// ids are dense in `0..num_classes()`.
+    /// The lower-half slot of a raw cofactor vector; `None` outside the
+    /// box.
     #[inline]
-    pub fn lookup(&self, cof: &[i64]) -> Option<(usize, KernelCounts)> {
+    fn slot(&self, cof: &[i64]) -> Option<usize> {
         let mut p = 0usize;
         for &x in cof {
             let digit = x.wrapping_add(self.k) as u64;
@@ -684,9 +650,18 @@ impl KernelTable {
             }
             p = p * self.side + digit as usize;
         }
-        let p = p.min(self.last - p);
-        let class = usize::from(self.class_of[bit_rank(&self.bits, &self.ranks, p)?]);
-        Some((class, self.classes[class]?))
+        Some(p.min(self.last - p))
+    }
+
+    /// The class and counts of a raw cofactor vector
+    /// ([`AnalyticScratch::cofactors`]) — `None` when the vector is not a
+    /// nonzero cofactor vector of the table's search, or its class's
+    /// closed form declined (overflow). Class ids are dense in
+    /// `0..num_classes()`.
+    #[inline]
+    pub fn lookup(&self, cof: &[i64]) -> Option<(usize, KernelCounts)> {
+        let class = usize::from(self.class_of[self.slot(cof)?]);
+        Some((class, (*self.classes.get(class)?)?))
     }
 
     /// Number of kernel classes.
@@ -782,12 +757,7 @@ mod tests {
     fn cofactors_expand_the_determinant() {
         // det [S; t] = t · c at every rank, through each cofactor arm.
         for rank in 1..=5usize {
-            let m = rank - 1;
-            let mut s = AnalyticScratch {
-                minor: vec![0; m * m],
-                det: vec![0; m * m],
-                v: vec![0; rank],
-            };
+            let mut s = AnalyticScratch::new(rank);
             let mut buf = vec![0i128; rank * rank];
             for seed in 0..50i64 {
                 let rows: Vec<i64> = (0..rank as i64 * rank as i64)
@@ -795,7 +765,7 @@ mod tests {
                     .collect();
                 let (space, t) = rows.split_at(rank * (rank - 1));
                 let c = s.cofactors(space);
-                let expanded: i64 = t.iter().zip(c).map(|(a, b)| a * b).sum();
+                let expanded: i64 = t.iter().zip(c.iter()).map(|(a, b)| a * b).sum();
                 assert_eq!(
                     Some(expanded),
                     bareiss_det(&rows, rank, &mut buf),
@@ -810,22 +780,16 @@ mod tests {
         let (f, is) = matmul_space(3);
         let a = AnalyticScorer::try_new(&is, &f).unwrap();
         let t = a.kernel_table(3).expect("max_coeff 3 fits the budget");
-        // Half of a 50,653-point box (396 words + ranks), 9,150 raw
-        // vectors folded by sign, whose directions the 3×3×3 box tells into
-        // 7 count records.
-        assert_eq!(
-            (t.bits.len(), t.ranks.len(), t.class_of.len()),
-            (396, 396, 4_575)
-        );
+        // Half of a 50,653-point box, 4,575 slots holding the 9,150 raw
+        // vectors folded by sign, whose directions the 3×3×3 box tells
+        // into 7 count records.
+        assert_eq!(t.class_of.len(), 25_327);
+        let occupied = t.class_of.iter().filter(|&&id| id != EMPTY).count();
+        assert_eq!(occupied, 4_575);
         assert_eq!(t.num_classes(), 7);
-        let bytes = t.bits.len() * 8
-            + t.ranks.len() * 4
-            + t.class_of.len() * 2
-            + t.classes.len() * std::mem::size_of::<Option<KernelCounts>>();
-        assert_eq!(bytes, 14_182);
         assert!(
             a.kernel_table(6).is_none(),
-            "a 145³-bit box exceeds the budget"
+            "a 145³-point box exceeds the budget"
         );
         assert!(a.kernel_table(-1).is_none());
         // Every class's counts are its closed form.
@@ -836,6 +800,7 @@ mod tests {
             Some(counts.with_time_steps(a.time_steps(&rows[6..]).unwrap())),
             a.score_rows(&rows, &mut s)
         );
+        assert_eq!(t.lookup(&[0, 0, 0]), None, "singular space rows");
         assert_eq!(t.lookup(&[19, 0, 0]), None, "outside the cofactor box");
     }
 

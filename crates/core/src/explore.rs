@@ -24,39 +24,32 @@
 //!    digits of the mixed-radix code, so `n_choices^(rank·(rank−1))`
 //!    consecutive codes share it; a failing time row rejects the whole
 //!    block without decoding a single candidate.
-//! 2. **Kernel-class table** ([`KernelTable`]) — a candidate's summary
-//!    depends on its space rows only through their kernel direction, so
-//!    when the analytical tier applies and the search is small enough, a
-//!    table built once per search maps each raw cofactor vector `c` of
-//!    the space rows to its class's PE, wire and port counts. A candidate
-//!    then costs `c` (it is singular iff `t · c = 0`, so no determinant)
-//!    and one table read; the time row's latency is taken once per block.
-//!    A first-sight bit per class, cleared per block, lets only a class's
-//!    first candidate in a block reach the dedup set — the rest repeat its
-//!    summary.
-//! 3. **Closed-form analytical tier** ([`crate::analytic`]) — the same
-//!    closed form per candidate, for searches without a table and classes
-//!    whose counts declined: PE count, wire classes, IO ports, and latency
-//!    from the transform matrix alone in O(rank³), no lattice fold at all.
-//!    Every ranked survivor of tiers 2–3 is re-folded afterwards as an
-//!    oracle backstop ([`CompileError::AnalyticDivergence`] if the tiers
-//!    ever disagree).
-//! 4. **Allocation-free fold** ([`FoldScorer`]) — candidates the
+//! 2. **Closed-form analytical tier** ([`crate::analytic`]) — every
+//!    candidate takes the signed cofactor vector `c` of its space rows; it
+//!    is singular iff `t · c = 0`, exact for every search the size check
+//!    admits. A summary depends on the space rows only through `c`'s
+//!    direction, so when the iteration space's geometry allows it, the
+//!    PE, wire and port counts are one read of the per-search
+//!    [`KernelTable`], else the closed form of `c` made primitive; the
+//!    time row's latency is taken once per block. A first-sight bit per
+//!    table class, cleared per block, lets only a class's first candidate
+//!    in a block reach the dedup set. Every ranked survivor is re-folded
+//!    afterwards as an oracle backstop
+//!    ([`CompileError::AnalyticDivergence`] if the tiers ever disagree).
+//! 3. **Allocation-free fold** ([`FoldScorer`]) — candidates the
 //!    analytical tier declines (overflow, causality error attribution,
 //!    non-box geometry) go through the one packed point fold of
 //!    [`crate::fold`]: `u64` keys in scratch tables — no
 //!    [`SpatialArray`], no `Vec<i64>` hashing, and no rational matrix
 //!    inverse until a candidate actually survives structural
 //!    deduplication.
-//! 5. **Full fold** — coordinates too wide even for packed keys take
+//! 4. **Full fold** — coordinates too wide even for packed keys take
 //!    [`SpatialArray::from_iterspace`] per candidate, which for them is
 //!    the hashed point mapping of [`crate::spacetime::reference`],
 //!    always correct.
 //!
 //! Candidates are decoded by an odometer over the space digits, with no
-//! division per candidate. Outside tier 2, singularity is decided before
-//! any tier by the one determinant, [`stellar_linalg::bareiss_det`];
-//! structures are deduplicated on the one structure record,
+//! division per candidate, and deduplicated on the one structure record,
 //! [`StructureSummary`].
 //!
 //! Full arrays are materialized lazily, only for ranked survivors, via
@@ -71,9 +64,12 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use rayon::PoolStats;
-use stellar_linalg::{bareiss_det, IntMat};
+use stellar_linalg::IntMat;
 
-use crate::analytic::{odometer_step, AnalyticScorer, AnalyticScratch, KernelTable};
+use crate::analytic::{
+    make_primitive, odometer_step, search_cofactor_bound, AnalyticScorer, AnalyticScratch,
+    KernelTable,
+};
 use crate::error::CompileError;
 use crate::fold::{summarize_array, ExploreFunnel, FoldScorer, FoldScratch, StructureSummary};
 use crate::func::Functionality;
@@ -237,38 +233,20 @@ fn transform_of(rank: usize, rows: &[i64]) -> SpaceTimeTransform {
         .expect("candidate passed the exact determinant check")
 }
 
-/// Tiers 3–5 for one non-singular candidate: the per-candidate closed
-/// form, else the packed fold, else the full fold. Returns the summary and
-/// whether the closed form produced it, or `None` for a candidate the fold
-/// rejects (booked as `collision_rejected`).
-fn score_candidate(
+/// The fold of one non-singular candidate: the packed fold, else — for
+/// coordinates too wide for packed keys, counted in `pack_fallback` — the
+/// full fold.
+fn fold_summary(
     ctx: &ScanCtx<'_>,
     rows: &[i64],
-    ascratch: Option<&mut AnalyticScratch>,
     scratch: &mut FoldScratch,
-    funnel: &mut ExploreFunnel,
-) -> Option<(StructureSummary, bool)> {
-    if let (Some(a), Some(s)) = (&ctx.analytic, ascratch) {
-        if let Some(summary) = a.score_rows(rows, s) {
-            return Some((summary, true));
-        }
-    }
-    let folded = match ctx.scorer.score_rows(rows, scratch) {
-        Some(folded) => folded,
-        None => {
-            // Coordinates too wide for packed keys: full fold.
-            funnel.pack_fallback += 1;
-            SpatialArray::from_iterspace(&ctx.is, ctx.func, &transform_of(ctx.scorer.rank(), rows))
-                .map(|a| summarize_array(&a))
-        }
-    };
-    match folded {
-        Ok(s) => Some((s, false)),
-        Err(_) => {
-            funnel.collision_rejected += 1;
-            None
-        }
-    }
+    pack_fallback: &mut u64,
+) -> Result<StructureSummary, CompileError> {
+    ctx.scorer.score_rows(rows, scratch).unwrap_or_else(|| {
+        *pack_fallback += 1;
+        let t = transform_of(ctx.scorer.rank(), rows);
+        SpatialArray::from_iterspace(&ctx.is, ctx.func, &t).map(|a| summarize_array(&a))
+    })
 }
 
 /// Scans one contiguous range of mixed-radix codes, returning the valid
@@ -289,9 +267,8 @@ fn scan_codes(ctx: &ScanCtx<'_>, codes: Range<usize>) -> (Vec<ExploredDataflow>,
     let mut funnel = ExploreFunnel::default();
     let mut seen: HashSet<StructureSummary> = HashSet::new();
     let mut scratch = FoldScratch::for_scorer(&ctx.scorer);
-    let mut ascratch = ctx.analytic.as_ref().map(AnalyticScratch::for_scorer);
+    let mut cofactors = AnalyticScratch::new(rank);
     let mut rows = vec![0i64; n_entries];
-    let mut det_buf = vec![0i128; n_entries];
     // One bit per kernel class: set once the class has been scored in the
     // current block, whose later members then repeat its summary.
     let n_classes = ctx.table.as_ref().map_or(0, KernelTable::num_classes);
@@ -328,11 +305,8 @@ fn scan_codes(ctx: &ScanCtx<'_>, codes: Range<usize>) -> (Vec<ExploredDataflow>,
             code = run_end;
             continue;
         }
-        // Tier 2 serves the block when its time row has a closed form.
-        let tier2 = match (&ctx.table, &ctx.analytic) {
-            (Some(table), Some(a)) => a.time_steps(trow).map(|ts| (table, ts)),
-            _ => None,
-        };
+        // The closed form serves the block when its time row has one.
+        let time_steps = ctx.analytic.as_ref().and_then(|a| a.time_steps(trow));
         first_sight.fill(0);
         for code in run_start..run_end {
             if ctx.panic_on_code == Some(code) {
@@ -343,33 +317,38 @@ fn scan_codes(ctx: &ScanCtx<'_>, codes: Range<usize>) -> (Vec<ExploredDataflow>,
                 odometer_step(&mut rows[..n_space], max_coeff);
             }
             funnel.decoded += 1;
-            let mut hit = None;
-            if let (Some((table, ts)), Some(a)) = (tier2, ascratch.as_mut()) {
-                let (space, trow) = rows.split_at(n_space);
-                let cof = a.cofactors(space);
-                if trow.iter().zip(cof).map(|(t, c)| t * c).sum::<i64>() == 0 {
-                    funnel.singular += 1;
-                    continue;
-                }
-                if let Some((class, counts)) = table.lookup(cof) {
-                    let bit = 1u64 << (class & 63);
-                    let fresh = first_sight[class >> 6] & bit == 0;
-                    first_sight[class >> 6] |= bit;
-                    hit = Some((counts.with_time_steps(ts), fresh));
-                }
-            } else if bareiss_det(&rows, rank, &mut det_buf) == Some(0) {
+            let (space, trow) = rows.split_at(n_space);
+            // det [S; t] = t · c, exact for every search `search_inputs`
+            // admits.
+            let c = cofactors.cofactors(space);
+            if trow.iter().zip(c.iter()).map(|(a, b)| a * b).sum::<i64>() == 0 {
                 funnel.singular += 1;
                 continue;
             }
-            let (summary, analytic, fresh) = match hit {
-                Some((summary, fresh)) => (summary, true, fresh),
-                None => {
-                    match score_candidate(ctx, &rows, ascratch.as_mut(), &mut scratch, &mut funnel)
-                    {
-                        Some((summary, analytic)) => (summary, analytic, true),
-                        None => continue,
+            let closed = match (&ctx.analytic, time_steps) {
+                (Some(a), Some(ts)) => match ctx.table.as_ref().and_then(|t| t.lookup(c)) {
+                    Some((class, counts)) => {
+                        let bit = 1u64 << (class & 63);
+                        let fresh = first_sight[class >> 6] & bit == 0;
+                        first_sight[class >> 6] |= bit;
+                        Some((counts.with_time_steps(ts), fresh))
                     }
-                }
+                    None => {
+                        make_primitive(c);
+                        a.kernel_counts(c).map(|k| (k.with_time_steps(ts), true))
+                    }
+                },
+                _ => None,
+            };
+            let (summary, analytic, fresh) = match closed {
+                Some((summary, fresh)) => (summary, true, fresh),
+                None => match fold_summary(ctx, &rows, &mut scratch, &mut funnel.pack_fallback) {
+                    Ok(summary) => (summary, false, true),
+                    Err(_) => {
+                        funnel.collision_rejected += 1;
+                        continue;
+                    }
+                },
             };
             funnel.scored += 1;
             funnel.analytic_scored += u64::from(analytic);
@@ -400,12 +379,9 @@ fn confirm_survivors(ctx: &ScanCtx<'_>, results: &[ExploredDataflow]) -> Result<
     let mut scratch = FoldScratch::for_scorer(&ctx.scorer);
     for e in results {
         let diverged = |detail: String| CompileError::AnalyticDivergence { detail };
-        let folded = match ctx.scorer.score(&e.transform, &mut scratch) {
-            Some(scored) => scored,
-            None => SpatialArray::from_iterspace(&ctx.is, ctx.func, &e.transform)
-                .map(|arr| summarize_array(&arr)),
-        }
-        .map_err(|err| {
+        // The scan's funnel has closed; a pack fallback here is not booked.
+        let rows = e.transform.flat_rows();
+        let folded = fold_summary(ctx, &rows, &mut scratch, &mut 0).map_err(|err| {
             diverged(format!(
                 "{}: fold rejected a ranked survivor: {err}",
                 e.transform
@@ -420,6 +396,28 @@ fn confirm_survivors(ctx: &ScanCtx<'_>, results: &[ExploredDataflow]) -> Result<
         }
     }
     Ok(())
+}
+
+/// The size `(2·max_coeff+1)^(rank²)` of a search's candidate space.
+/// `max_coeff` arrives from serve lines, so this runs before the
+/// coefficient list is built: an absurd bound must be this error, not an
+/// allocation failure that aborts the process.
+fn candidate_count(rank: usize, max_coeff: i64) -> Result<usize, CompileError> {
+    let n_entries = (rank * rank) as u32;
+    let n_choices = if max_coeff < 0 {
+        0
+    } else {
+        usize::try_from(max_coeff)
+            .ok()
+            .and_then(|c| c.checked_mul(2)?.checked_add(1))
+            .unwrap_or(usize::MAX)
+    };
+    n_choices
+        .checked_pow(n_entries)
+        .ok_or(CompileError::SearchSpaceTooLarge {
+            choices: n_choices,
+            entries: n_entries,
+        })
 }
 
 /// Shared search preamble: validates the functionality, elaborates the
@@ -443,24 +441,10 @@ fn search_inputs(
         }
     }
 
-    // Size the space before materializing the coefficient list: `max_coeff`
-    // arrives from serve lines, and an absurd bound must be this error, not
-    // an allocation failure that aborts the process.
-    let n_entries = (rank * rank) as u32;
-    let n_choices = if max_coeff < 0 {
-        0
-    } else {
-        usize::try_from(max_coeff)
-            .ok()
-            .and_then(|c| c.checked_mul(2)?.checked_add(1))
-            .unwrap_or(usize::MAX)
-    };
-    let total = n_choices
-        .checked_pow(n_entries)
-        .ok_or(CompileError::SearchSpaceTooLarge {
-            choices: n_choices,
-            entries: n_entries,
-        })?;
+    let total = candidate_count(rank, max_coeff)?;
+    // Every admitted search has exact cofactors and determinants `t · c`,
+    // which is what lets the scan decide singularity by them.
+    debug_assert!(total == 0 || search_cofactor_bound(rank, max_coeff).is_some());
     let coeffs: Vec<i64> = (-max_coeff..=max_coeff).collect();
     Ok((is, diffs, coeffs, total))
 }
@@ -563,36 +547,24 @@ pub fn explore_dataflows_profiled(
     };
     // Shards below this size cost more to fan out than to just scan.
     const MIN_SHARD: usize = 4096;
-    // Both scan paths run under panic isolation: one bad candidate (a
-    // scoring bug, an overflow) becomes `Err(WorkerPanicked)` instead of
-    // tearing down the process hosting the search.
-    let panicked = |message: String| CompileError::WorkerPanicked { message };
-    type Shard = (Vec<ExploredDataflow>, ExploreFunnel);
-    let (shards, pool): (Vec<Shard>, PoolStats) = if workers <= 1 || total <= MIN_SHARD {
-        let started = Instant::now();
-        let shard =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scan_codes(&ctx, 0..total)))
-                .map_err(|payload| {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                panicked(message)
-            })?;
-        let busy_ms = started.elapsed().as_secs_f64() * 1e3;
-        (vec![shard], PoolStats::serial(1, busy_ms))
+    // One shard for a serial or small search, which the pool runs on its
+    // serial path; otherwise several shards per worker so an expensive
+    // shard load-balances. Either way the scan runs under panic isolation:
+    // one bad candidate (a scoring bug, an overflow) becomes
+    // `Err(WorkerPanicked)` instead of tearing down the process hosting
+    // the search.
+    let (n_shards, shard) = if workers <= 1 || total <= MIN_SHARD {
+        (1, total)
     } else {
-        // Several shards per worker so an expensive shard load-balances.
         let shard = total.div_ceil(workers * 8).max(MIN_SHARD);
-        let n_shards = total.div_ceil(shard);
-        (0..n_shards)
-            .into_par_iter()
-            .with_max_threads(workers)
-            .map(|s| scan_codes(&ctx, s * shard..((s + 1) * shard).min(total)))
-            .try_collect_vec()
-            .map_err(|p| panicked(p.message))?
+        (total.div_ceil(shard), shard)
     };
+    let (shards, pool) = (0..n_shards)
+        .into_par_iter()
+        .with_max_threads(workers)
+        .map(|s| scan_codes(&ctx, s * shard..((s + 1) * shard).min(total)))
+        .try_collect_vec()
+        .map_err(|p| CompileError::WorkerPanicked { message: p.message })?;
 
     // Merge shards in code order under a global dedup set: the survivor of
     // every structure is its lowest-code candidate, matching the serial
@@ -973,6 +945,32 @@ mod tests {
                 explore_dataflows_reference(&f, &bounds, &opts).map(|run| run.results),
                 Err(too_large)
             );
+        }
+    }
+
+    #[test]
+    fn every_admitted_search_decides_singularity_exactly() {
+        // `t · c` decides singularity only while it is exact in `i64`. At
+        // each rank, find the largest `max_coeff` the size check admits
+        // (from rank 7 on that is 0) and certify its cofactor bound.
+        for rank in 1..=7usize {
+            let (mut lo, mut hi) = (0i64, i64::MAX);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2 + 1;
+                if candidate_count(rank, mid).is_ok() {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            assert!(
+                search_cofactor_bound(rank, lo).is_some(),
+                "rank {rank}, max_coeff {lo}"
+            );
+            if rank == 2 {
+                // The widest case: |t · c| ≤ 2 · 32,767² ≈ 2.1·10⁹.
+                assert_eq!(lo, 32_767);
+            }
         }
     }
 

@@ -11,8 +11,8 @@
 //! * [`IntMat`] — a dense integer matrix with exact determinant and
 //!   adjugate-based inverse.
 //! * [`bareiss_det`] — the one determinant kernel (Bareiss fraction-free
-//!   elimination into a caller buffer), shared by [`IntMat::det`], the
-//!   dataflow scan's singularity test and the analytic tier's cofactors.
+//!   elimination into a caller buffer), shared by [`IntMat::det`] and
+//!   the cofactors that decide the dataflow scan's singularity test.
 //! * [`RatMat`] — a dense rational matrix, used for inverses.
 //! * [`IntVec`] — convenience alias plus helpers for lattice vectors.
 //!

@@ -246,7 +246,8 @@ impl IntMat {
 /// Intermediates (leading minors and products of two of them) are held
 /// in `i128` and not checked, so the result is exact whenever every minor
 /// fits `i64`. `#[inline]` because the workspace builds without LTO and
-/// the dataflow scan calls this once per candidate.
+/// the dataflow scan's cofactors call this per candidate at ranks other
+/// than 3.
 #[inline]
 pub fn bareiss_det(rows: &[i64], n: usize, buf: &mut [i128]) -> Option<i64> {
     debug_assert_eq!(rows.len(), n * n);

@@ -1,8 +1,10 @@
 //! A small, dependency-free, fully offline stand-in for the `rayon`
 //! data-parallelism crate, implementing the subset of its API this
 //! workspace uses: `par_iter()` on slices, `into_par_iter()` on integer
-//! ranges, `map`/`collect`/`sum`/`for_each`, `with_min_len`, `join`, and
-//! `current_num_threads`.
+//! ranges, `with_min_len`, `map` then `collect`, and
+//! `current_num_threads` — plus `with_max_threads` and
+//! `try_collect_vec`, which return panics as errors with per-worker
+//! telemetry.
 //!
 //! Scheduling is **work-stealing**: the index space is cut into chunks
 //! that are dealt out across per-worker deques up front. Each owner pops
@@ -25,10 +27,10 @@
 //! worker.
 //!
 //! The calling thread is worker 0 and `threads − 1` plain
-//! `std::thread::scope` threads are spawned per call beside it, as in
-//! [`join`]; for the coarse-grained parallelism in this workspace
-//! (thousands of candidate transforms or simulations per call) the spawn
-//! cost is noise, and each call saves one thread's stack and heap arena.
+//! `std::thread::scope` threads are spawned per call beside it; for the
+//! coarse-grained parallelism in this workspace (thousands of candidate
+//! transforms or simulations per call) the spawn cost is noise, and each
+//! call saves one thread's stack and heap arena.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -127,8 +129,8 @@ impl PoolStats {
     }
 
     /// The stats of a serial execution: one worker, busy the whole time.
-    /// Public so callers with their own single-threaded fast paths (e.g.
-    /// the small-sweep branch of the dataflow search) can report the same
+    /// Public so callers with their own single-threaded loops (e.g. the
+    /// serial oracle of the dataflow search) can report the same
     /// telemetry shape as a parallel run.
     pub fn serial(items: u64, busy_ms: f64) -> PoolStats {
         PoolStats {
@@ -198,30 +200,6 @@ fn threads_from_env(var: Option<&str>) -> Option<usize> {
         Ok(n) if n >= 1 => Some(n),
         _ => None,
     }
-}
-
-/// Runs both closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        let ra = oper_a();
-        let rb = oper_b();
-        return (ra, rb);
-    }
-    std::thread::scope(|s| {
-        let b = s.spawn(oper_b);
-        let ra = oper_a();
-        let rb = match b.join() {
-            Ok(rb) => rb,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (ra, rb)
-    })
 }
 
 /// An index-addressable source of items — the internal driver behind
@@ -377,14 +355,6 @@ impl<S: ParSource> ParIter<S> {
             max_threads: self.max_threads,
             steal_batch: self.steal_batch,
         }
-    }
-
-    /// Runs `f` on every item (no results kept).
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(S::Item) + Sync,
-    {
-        self.map(f).run();
     }
 }
 
@@ -572,7 +542,7 @@ where
         };
         // The calling thread is worker 0 — it claims chunk 0 before the
         // others start, so it always runs at least one chunk — and
-        // `threads − 1` scoped threads are spawned beside it, as in `join`.
+        // `threads − 1` scoped threads are spawned beside it.
         let first = deques[0].lock().ok().and_then(|mut dq| dq.pop_back());
         std::thread::scope(|scope| {
             let work = &work;
@@ -639,12 +609,6 @@ where
     pub fn collect<C: From<Vec<R>>>(self) -> C {
         C::from(self.run())
     }
-
-    /// Sums results, folding in index order so floating-point sums stay
-    /// deterministic.
-    pub fn sum<T: std::iter::Sum<R>>(self) -> T {
-        self.run().into_iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -675,16 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_is_index_ordered() {
-        // A float sum whose value depends on fold order: identical to the
-        // serial left fold by construction.
-        let vals: Vec<f64> = (0..10_000usize).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let serial: f64 = vals.iter().copied().sum();
-        let parallel: f64 = vals.par_iter().map(|&v| v).sum();
-        assert_eq!(serial.to_bits(), parallel.to_bits());
-    }
-
-    #[test]
     fn with_min_len_does_not_change_results() {
         let a: Vec<usize> = (0..537usize).into_par_iter().map(|i| i + 1).collect();
         let b: Vec<usize> = (0..537usize)
@@ -693,22 +647,6 @@ mod tests {
             .map(|i| i + 1)
             .collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn for_each_visits_everything() {
-        let hits = AtomicUsize::new(0);
-        (0..321usize)
-            .into_par_iter()
-            .for_each(|_| _ = hits.fetch_add(1, Ordering::Relaxed));
-        assert_eq!(hits.load(Ordering::Relaxed), 321);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 6 * 7, || "ok");
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
     }
 
     #[test]
