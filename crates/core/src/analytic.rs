@@ -42,25 +42,22 @@
 //! `v` (PEs, moving and stationary wires, IO ports), and
 //! [`AnalyticScorer::time_steps`] reads only the time row. Since `v` is
 //! unchanged by any unimodular re-mix `U·S` of the space rows, so is the
-//! summary, and a search needs `kernel_counts` once per raw cofactor
-//! vector, not once per candidate: [`KernelTable`] maps every raw vector
-//! a search can meet to its counts — 9,150 raw vectors in 7 distinct
-//! count records for the 7⁹ sweep over a 3×3×3 box.
-//! [`AnalyticScorer::score_rows`], their composition per candidate, is
-//! the tests' oracle for the table.
+//! summary, and a search needs `kernel_counts` once per kernel direction,
+//! not once per candidate: [`KernelTable`] records every direction one
+//! time-row block meets — 3,217 directions in 7 distinct count records
+//! for the 7⁹ sweep over a 3×3×3 box. [`AnalyticScorer::score_rows`],
+//! their composition per candidate, is the tests' oracle for the table.
 //!
 //! [`AnalyticScorer::try_new`] verifies the geometric preconditions
 //! *exactly once per search* (bit vectors over the elaborated points,
 //! connections, and IO requests); if any fails it returns `None` and the
-//! search scores every candidate through the fold, exactly as before.
-//! Per candidate, the closed form costs O(rank³ + groups) — independent
-//! of the number of lattice points — and declines (fall back to the fold)
-//! on any arithmetic overflow or causality violation, so it never has to
-//! reproduce the fold's error values: a summary it does produce is
-//! byte-identical to the fold's, which `crates/core/tests/fold_equivalence.rs`
-//! proves by proptest, and the search re-folds every ranked survivor as an
-//! oracle backstop ([`CompileError::AnalyticDivergence`] if the tiers ever
-//! disagree).
+//! search scores every candidate through the fold. The closed form
+//! declines (fall back to the fold) on any arithmetic overflow or
+//! causality violation, so it never has to reproduce the fold's error
+//! values: a summary it does produce is byte-identical to the fold's,
+//! which `crates/core/tests/fold_equivalence.rs` proves by proptest, and
+//! the search re-folds every ranked survivor as an oracle backstop
+//! ([`CompileError::AnalyticDivergence`] if the tiers ever disagree).
 //!
 //! [`IterationSpace::elaborate`]: crate::iterspace::IterationSpace::elaborate
 //! [`CompileError::AnalyticDivergence`]: crate::error::CompileError::AnalyticDivergence
@@ -73,7 +70,7 @@ use crate::fold::StructureSummary;
 use crate::func::Functionality;
 use crate::iterspace::{IoDir, IterationSpace, PointId};
 
-/// Largest cofactor box, in points, a [`KernelTable`] is built for (its
+/// Largest cofactor box, in points, a [`KernelTable`] build indexes (its
 /// `u16` slots over the half box then take at most 2 MiB). The smallest
 /// search it excludes is rank 3 at `max_coeff = 6`, `13⁹ ≈ 1.1·10¹⁰`
 /// candidates; every other excluded search is larger still.
@@ -547,54 +544,82 @@ impl AnalyticScorer {
     }
 
     /// Builds the [`KernelTable`] for a search whose candidate entries lie
-    /// in `−max_coeff..=max_coeff`: every space-row tuple's raw cofactor
-    /// vector, mapped to the counts of its primitive direction. `None`
-    /// when cofactors of such entries are not certified exact in `i64`, or
-    /// their box `[−K, K]^rank`, `K = (rank−1)! · max_coeff^(rank−1)`,
-    /// exceeds a fixed budget of 2²¹ points, or it holds more than 65,535
-    /// classes.
-    ///
-    /// The build walks the `(2·max_coeff+1)^(rank·(rank−1))` space-row
-    /// tuples once — the size of one time-row block of the search — and
-    /// takes `kernel_counts` once per slot it fills.
+    /// in `−max_coeff..=max_coeff` by one walk over the
+    /// `(2·max_coeff+1)^(rank·(rank−1))` space-row tuples of a time-row
+    /// block, in code order, filing each under its direction through a
+    /// transient `u16` index over the lower half of the cofactor box
+    /// `[−K, K]^rank`, `K = (rank−1)! · max_coeff^(rank−1)` (`c` and `−c`
+    /// share a slot). `None` when such cofactors are not certified exact in
+    /// `i64`, the box exceeds 2²¹ points, a class's closed form overflows,
+    /// or past 65,535 directions or a direction entry beyond ±127.
     pub fn kernel_table(&self, max_coeff: i64) -> Option<KernelTable> {
         let r = self.rank;
-        let k = search_cofactor_bound(r, max_coeff)?;
+        // Rank 5 exceeds the box budget even at `max_coeff = 1`.
+        let k = search_cofactor_bound(r, max_coeff).filter(|_| r <= 4)?;
         let side = usize::try_from(k).ok()?.checked_mul(2)?.checked_add(1)?;
         let last = side
             .checked_pow(r as u32)
             .filter(|&n| n <= TABLE_BOX_BUDGET)?
             - 1;
+        // Slot → index into `dirs`, for the walk only.
+        let mut dir_of = vec![NONE; last / 2 + 1];
         let mut table = KernelTable {
-            k,
-            side,
-            last,
-            class_of: vec![EMPTY; last / 2 + 1],
+            k: k.unsigned_abs(),
+            dirs: Vec::new(),
             classes: Vec::new(),
         };
         // One class id per distinct counts record.
-        let mut ids: BTreeMap<Option<KernelCounts>, u16> = BTreeMap::new();
+        let mut ids: BTreeMap<KernelCounts, u16> = BTreeMap::new();
         let mut scratch = AnalyticScratch::new(r);
         let mut space = vec![-max_coeff; r * (r - 1)];
-        loop {
+        let slot = |c: &[i64]| {
+            let p = c.iter().fold(0, |p, &x| p * side + (x + k) as usize);
+            p.min(last - p)
+        };
+        for code in 0u32.. {
             let c = scratch.cofactors(&space);
-            let slot = table.slot(c)?;
-            // The zero vector (singular space rows) keeps its slot empty.
-            if table.class_of[slot] == EMPTY && make_primitive(c) {
-                let counts = self.kernel_counts(c);
-                table.class_of[slot] = match ids.entry(counts) {
-                    Entry::Occupied(id) => *id.get(),
-                    Entry::Vacant(id) => {
-                        table.classes.push(counts);
-                        let next = u16::try_from(table.classes.len() - 1).ok();
-                        *id.insert(next.filter(|&n| n != EMPTY)?)
+            let raw = slot(c);
+            if dir_of[raw] == NONE {
+                // A new raw vector joins its primitive direction, whose
+                // record the direction's own slot indexes. The zero vector
+                // (singular space rows) is its own direction, with no class.
+                let nonzero = make_primitive(c);
+                let home = slot(c);
+                if dir_of[home] == NONE {
+                    dir_of[home] = u16::try_from(table.dirs.len())
+                        .ok()
+                        .filter(|&n| n != NONE)?;
+                    let class = if nonzero {
+                        match ids.entry(self.kernel_counts(c)?) {
+                            Entry::Occupied(id) => *id.get(),
+                            Entry::Vacant(id) => {
+                                table.classes.push(*id.key());
+                                let next = u16::try_from(table.classes.len() - 1).ok();
+                                *id.insert(next.filter(|&n| n != NONE)?)
+                            }
+                        }
+                    } else {
+                        NONE
+                    };
+                    let mut v = [0i8; 4];
+                    for (x, &y) in v.iter_mut().zip(c.iter()) {
+                        *x = i8::try_from(y).ok()?;
                     }
-                };
+                    table.dirs.push(Direction {
+                        v,
+                        first: code,
+                        tuples: 0,
+                        class,
+                    });
+                }
+                dir_of[raw] = dir_of[home];
             }
+            table.dirs[usize::from(dir_of[raw])].tuples += 1;
             if !odometer_step(&mut space, max_coeff) {
-                return Some(table);
+                break;
             }
         }
+        Some(table)
     }
 
     /// The peak utilization bound of a scored structure: active lattice
@@ -611,62 +636,54 @@ impl AnalyticScorer {
     }
 }
 
-/// The class id of an empty [`KernelTable`] slot.
-const EMPTY: u16 = u16::MAX;
+/// No direction yet (in the build's index), or no class (`v = 0`).
+const NONE: u16 = u16::MAX;
 
-/// The per-search kernel-class table of the analytical tier
-/// ([`AnalyticScorer::kernel_table`]): raw cofactor vector of a
-/// candidate's space rows → kernel class → [`KernelCounts`]. A class is
-/// one distinct counts record — the kernel directions the box cannot tell
-/// apart. The table turns a candidate's score into a cofactor vector and
-/// one lookup; the time row contributes [`AnalyticScorer::time_steps`],
-/// once per block.
-///
-/// One `u16` class id per slot of the lower half of the cofactor box
-/// `[−K, K]^rank`, each slot shared by a vector and its negation. For the
-/// 7⁹ sweep of matmul over a 3×3×3 box that is 25,327 slots of a
-/// 50,653-point box, 4,575 of them occupied (9,150 raw vectors), whose
-/// 3,217 primitive directions fall into 7 classes: about 50 KB.
+/// One primitive kernel direction `v` of a [`KernelTable`], up to sign:
+/// the space-row tuples whose raw cofactor vector is a nonzero multiple
+/// of `v` (for `v = 0`, the singular ones). Time row `t` makes them all
+/// singular iff `t · v = 0`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Direction {
+    /// The first tuple's cofactor vector made primitive, zero past the rank.
+    pub(crate) v: [i8; 4],
+    /// The lowest space code with this direction.
+    pub(crate) first: u32,
+    /// How many space-row tuples have this direction.
+    pub(crate) tuples: u32,
+    /// The direction's kernel class; [`NONE`] for `v = 0`.
+    pub(crate) class: u16,
+}
+
+/// The per-search kernel-class table ([`AnalyticScorer::kernel_table`]).
+/// A class is one distinct [`KernelCounts`] record: the kernel directions
+/// the box cannot tell apart. Inside a time-row block a candidate's fate
+/// depends only on its kernel direction and the time row, so the table
+/// keeps one record per direction, in code order, and the search decides
+/// each block from these alone. A block of the 7⁹ sweep over a 3×3×3 box
+/// has 3,217 nonzero directions in 7 classes: 3,218 records of 16 bytes.
 #[derive(Clone, Debug)]
 pub struct KernelTable {
-    k: i64,
-    side: usize,
-    last: usize,
-    class_of: Vec<u16>,
-    /// Counts per class; `None` where the closed form declined.
-    classes: Vec<Option<KernelCounts>>,
+    /// The cofactor bound `K` of the table's search.
+    k: u64,
+    /// The directions, in order of their lowest space code.
+    pub(crate) dirs: Vec<Direction>,
+    /// Counts per class.
+    pub(crate) classes: Vec<KernelCounts>,
 }
 
 impl KernelTable {
-    /// The lower-half slot of a raw cofactor vector; `None` outside the
-    /// box.
-    #[inline]
-    fn slot(&self, cof: &[i64]) -> Option<usize> {
-        let mut p = 0usize;
-        for &x in cof {
-            let digit = x.wrapping_add(self.k) as u64;
-            if digit >= self.side as u64 {
-                return None;
-            }
-            p = p * self.side + digit as usize;
-        }
-        Some(p.min(self.last - p))
-    }
-
-    /// The class and counts of a raw cofactor vector
-    /// ([`AnalyticScratch::cofactors`]) — `None` when the vector is not a
-    /// nonzero cofactor vector of the table's search, or its class's
-    /// closed form declined (overflow). Class ids are dense in
-    /// `0..num_classes()`.
-    #[inline]
+    /// The dense class id and counts of a raw cofactor vector
+    /// ([`AnalyticScratch::cofactors`]) by a scan of the records; `None`
+    /// when the vector is zero, outside the cofactor box, or of a direction
+    /// no space-row tuple of the table's search has.
     pub fn lookup(&self, cof: &[i64]) -> Option<(usize, KernelCounts)> {
-        let class = usize::from(self.class_of[self.slot(cof)?]);
-        Some((class, (*self.classes.get(class)?)?))
-    }
-
-    /// Number of kernel classes.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
+        if cof.iter().all(|&x| x == 0) || cof.iter().any(|x| x.unsigned_abs() > self.k) {
+            return None;
+        }
+        let dir = |d: &&Direction| d.class != NONE && parallel(cof, &d.v.map(i64::from));
+        let class = usize::from(self.dirs.iter().find(dir)?.class);
+        Some((class, self.classes[class]))
     }
 }
 
@@ -780,20 +797,33 @@ mod tests {
         let (f, is) = matmul_space(3);
         let a = AnalyticScorer::try_new(&is, &f).unwrap();
         let t = a.kernel_table(3).expect("max_coeff 3 fits the budget");
-        // Half of a 50,653-point box, 4,575 slots holding the 9,150 raw
-        // vectors folded by sign, whose directions the 3×3×3 box tells
-        // into 7 count records.
-        assert_eq!(t.class_of.len(), 25_327);
-        let occupied = t.class_of.iter().filter(|&&id| id != EMPTY).count();
-        assert_eq!(occupied, 4_575);
-        assert_eq!(t.num_classes(), 7);
+        // 3,217 nonzero directions up to sign, which the 3×3×3 box tells
+        // into 7 count records, plus the zero direction.
+        assert_eq!(t.dirs.len(), 3_218);
+        assert_eq!(t.classes.len(), 7);
+        // The records cover one block's 7⁶ space tuples, in code order,
+        // and each direction is its first tuple's made primitive.
+        let tuples: u64 = t.dirs.iter().map(|d| u64::from(d.tuples)).sum();
+        assert_eq!(tuples, 7u64.pow(6));
+        assert!(t.dirs.windows(2).all(|w| w[0].first < w[1].first));
+        let mut s = AnalyticScratch::for_scorer(&a);
+        let mut space = [0i64; 6];
+        for d in &t.dirs {
+            let mut rem = d.first as usize;
+            for x in &mut space {
+                *x = (rem % 7) as i64 - 3;
+                rem /= 7;
+            }
+            let c = s.cofactors(&space);
+            assert_eq!(make_primitive(c), d.class != NONE);
+            assert_eq!(c, &d.v.map(i64::from)[..3]);
+        }
         assert!(
             a.kernel_table(6).is_none(),
             "a 145³-point box exceeds the budget"
         );
         assert!(a.kernel_table(-1).is_none());
         // Every class's counts are its closed form.
-        let mut s = AnalyticScratch::for_scorer(&a);
         let rows = SpaceTimeTransform::hexagonal().flat_rows();
         let (_, counts) = t.lookup(s.cofactors(&rows[..6])).unwrap();
         assert_eq!(

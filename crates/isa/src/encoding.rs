@@ -133,6 +133,9 @@ pub enum IsaError {
     BadMetadata(u8),
     /// Unknown axis-format bits in `rs2`.
     BadAxisFormat(u64),
+    /// `rs1` bits [`Instruction::encode`] never writes (bits 10–14, bits
+    /// 8–9 without the metadata flag, bits 20–63), as found in the word.
+    ReservedBits(u64),
 }
 
 impl fmt::Display for IsaError {
@@ -142,6 +145,7 @@ impl fmt::Display for IsaError {
             IsaError::BadTarget(v) => write!(f, "unknown target bits {v:#x}"),
             IsaError::BadMetadata(v) => write!(f, "unknown metadata bits {v:#x}"),
             IsaError::BadAxisFormat(v) => write!(f, "unknown axis format bits {v:#x}"),
+            IsaError::ReservedBits(v) => write!(f, "reserved rs1 bits set: {v:#x}"),
         }
     }
 }
@@ -162,13 +166,26 @@ impl Instruction {
         (self.opcode as u8, rs1, self.rs2)
     }
 
-    /// Decodes from `(funct, rs1, rs2)`.
+    /// Decodes from `(funct, rs1, rs2)`. Only canonical words decode:
+    /// whatever decodes re-encodes to the same fields.
     ///
     /// # Errors
     ///
-    /// Returns an [`IsaError`] on unknown field encodings.
+    /// Returns an [`IsaError`] on unknown field encodings, and
+    /// [`IsaError::ReservedBits`] when `rs1` sets a bit `encode` never
+    /// writes.
     pub fn decode(funct: u8, rs1: u64, rs2: u64) -> Result<Instruction, IsaError> {
         let opcode = Opcode::from_bits(funct).ok_or(IsaError::BadOpcode(funct))?;
+        // Axis (7:0), metadata type (9:8, only under the flag), metadata
+        // flag (15) and target (19:16).
+        let written = if (rs1 >> 15) & 1 == 1 {
+            0xF_83FF
+        } else {
+            0xF_80FF
+        };
+        if rs1 & !written != 0 {
+            return Err(IsaError::ReservedBits(rs1 & !written));
+        }
         let target_bits = ((rs1 >> 16) & 0xF) as u8;
         let target = Target::from_bits(target_bits).ok_or(IsaError::BadTarget(target_bits))?;
         let axis = (rs1 & 0xFF) as u8;
@@ -270,6 +287,23 @@ mod tests {
             Instruction::decode(Opcode::SetAxisType as u8, rs1, 9),
             Err(IsaError::BadAxisFormat(9))
         );
+    }
+
+    #[test]
+    fn reserved_rs1_bits_rejected() {
+        let base = (Target::Both as u64) << 16;
+        for bit in [8u32, 9, 10, 14, 20, 40, 63] {
+            assert_eq!(
+                Instruction::decode(Opcode::SetSpan as u8, base | 1 << bit, 0),
+                Err(IsaError::ReservedBits(1 << bit)),
+                "bit {bit}"
+            );
+        }
+        // Under the metadata flag, bits 8–9 carry the metadata type.
+        let flagged = base | 1 << 15 | 1 << 8;
+        let i = Instruction::decode(Opcode::SetMetadataStride as u8, flagged, 0).unwrap();
+        assert_eq!(i.metadata, Some(MetadataType::Coord));
+        assert_eq!(i.encode(), (Opcode::SetMetadataStride as u8, flagged, 0));
     }
 
     #[test]

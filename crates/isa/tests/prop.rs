@@ -75,6 +75,30 @@ proptest! {
         prop_assert!(Instruction::decode(funct, rs1, rs2).is_err());
     }
 
+    /// Decoding arbitrary words never panics, and whatever decodes is
+    /// canonical: it re-encodes to exactly the word it came from.
+    #[test]
+    fn decode_accepts_only_canonical_words(
+        funct in prop_oneof![0u8..=255, 0u8..7],
+        rs1 in prop_oneof![
+            proptest::num::u64::ANY,
+            // Words built field by field, so the accepting path is reached
+            // too: axis, metadata type, metadata flag, target, and at times
+            // one stray bit anywhere.
+            (0u64..=0xFF, 0u64..4, proptest::bool::ANY, 0u64..4, 0u32..96).prop_map(
+                |(axis, meta, flag, target, stray)| {
+                    let word = axis | meta << 8 | u64::from(flag) << 15 | target << 16;
+                    word | 1u64.checked_shl(stray).unwrap_or(0)
+                },
+            ),
+        ],
+        rs2 in prop_oneof![proptest::num::u64::ANY, 0u64..4],
+    ) {
+        if let Ok(i) = Instruction::decode(funct, rs1, rs2) {
+            prop_assert_eq!(i.encode(), (funct, rs1, rs2));
+        }
+    }
+
     /// A dense DRAM→buffer transfer always reproduces the stored matrix,
     /// for any shape and contents.
     #[test]

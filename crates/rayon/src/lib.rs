@@ -546,10 +546,18 @@ where
         let first = deques[0].lock().ok().and_then(|mut dq| dq.pop_back());
         std::thread::scope(|scope| {
             let work = &work;
-            for w in 1..threads {
-                scope.spawn(move || work(w, None));
-            }
+            let spawned: Vec<_> = (1..threads)
+                .map(|w| scope.spawn(move || work(w, None)))
+                .collect();
             work(0, first);
+            // Join the threads themselves, not only their closures (all a
+            // scope waits for): a thread still exiting holds its malloc
+            // arena, and the next pool's threads would each take a new one.
+            for handle in spawned {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
         });
 
         let mut panics = panics.into_inner().unwrap_or_default();
