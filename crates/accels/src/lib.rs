@@ -15,12 +15,12 @@ pub mod merger;
 pub mod outerspace;
 pub mod scnn;
 pub mod specs;
+#[cfg(test)]
+mod testing;
 
 pub use a100::a100_sparse_spec;
 pub use gemmini::{gemmini_design, gemmini_spec, handwritten_gemmini_area, run_resnet50};
-pub use merger::{
-    compare_mergers, compare_on_suite_matrix, sparch_merge_batches, MergerComparison,
-};
+pub use merger::{compare_mergers, compare_on_suite_matrix, MergerComparison};
 pub use outerspace::{outerspace_throughput, OuterSpaceConfig, OuterSpaceResult};
 pub use scnn::{run_alexnet, ScnnConfig, ScnnLayerResult};
 pub use specs::{

@@ -11,7 +11,7 @@
 //! request.
 
 use stellar_sim::DmaModel;
-use stellar_tensor::{CscMatrix, CsrMatrix};
+use stellar_tensor::CsrMatrix;
 use stellar_workloads::SuiteMatrix;
 
 /// Configuration of the OuterSPACE-class run.
@@ -78,66 +78,110 @@ pub struct OuterSpaceResult {
     pub gflops: f64,
 }
 
-/// Runs `A·A` through the phase model for a synthetic instance of the
-/// given SuiteSparse matrix.
+/// Runs `A·A` through the phase model for one synthetic instance of the
+/// given SuiteSparse matrix under each of `cfgs`: the matrix is
+/// instantiated and counted once, then every config is a closed form over
+/// that count. Results come back in `cfgs` order.
 pub fn outerspace_throughput(
     m: &SuiteMatrix,
-    cfg: &OuterSpaceConfig,
+    cfgs: &[OuterSpaceConfig],
     seed: u64,
-) -> OuterSpaceResult {
+) -> Vec<OuterSpaceResult> {
     // Keep instances tractable while preserving row statistics.
-    let a = m.instantiate(4096, seed);
-    outerspace_throughput_on(&a, cfg)
+    let count = OperandCount::of(&m.instantiate(4096, seed));
+    cfgs.iter().map(|cfg| count.evaluate(cfg)).collect()
 }
 
 /// Runs `A·A` on a concrete matrix.
 pub fn outerspace_throughput_on(a: &CsrMatrix, cfg: &OuterSpaceConfig) -> OuterSpaceResult {
-    let a_csc = CscMatrix::from_csr(a);
-    let n = a.rows().min(a.cols());
+    OperandCount::of(a).evaluate(cfg)
+}
 
-    // Partial-product statistics: one partial vector per (k, row of A
-    // column k); vector length = nnz(row k of A).
-    let mut partial_products: u64 = 0;
-    let mut num_vectors: u64 = 0;
-    for k in 0..n {
-        let col_nnz = a_csc.col_len(k) as u64;
-        let row_nnz = a.row_len(k) as u64;
-        partial_products += col_nnz * row_nnz;
-        num_vectors += if row_nnz > 0 { col_nnz } else { 0 };
+/// Everything the phase model reads of the operand `A` of `A·A`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct OperandCount {
+    /// Entries over all partial vectors: `Σₖ nnz(A[:,k]) · nnz(A[k,:])`.
+    partial_products: u64,
+    /// One partial vector per (k, non-zero of column k) with row k
+    /// non-empty.
+    num_vectors: u64,
+    /// Stored entries of `A`.
+    nnz: u64,
+    /// Rows of `A`.
+    rows: u64,
+}
+
+impl OperandCount {
+    /// Counts `a` in one pass over its CSR arrays. Column lengths come
+    /// from a histogram over `col_idx()` that skips explicit zeros, as the
+    /// CSC copy of `a` (which the multiply phase streams) drops them.
+    fn of(a: &CsrMatrix) -> OperandCount {
+        let n = a.rows().min(a.cols());
+        let mut col_len = vec![0u64; n];
+        for (&c, &v) in a.col_idx().iter().zip(a.values()) {
+            if c < n && v != 0.0 {
+                col_len[c] += 1;
+            }
+        }
+        // One partial vector per (k, row of A column k); vector length =
+        // nnz(row k of A).
+        let mut partial_products: u64 = 0;
+        let mut num_vectors: u64 = 0;
+        for (k, &col_nnz) in col_len.iter().enumerate() {
+            let row_nnz = a.row_len(k) as u64;
+            partial_products += col_nnz * row_nnz;
+            num_vectors += if row_nnz > 0 { col_nnz } else { 0 };
+        }
+        OperandCount {
+            partial_products,
+            num_vectors,
+            nnz: a.nnz() as u64,
+            rows: a.rows() as u64,
+        }
     }
-    let flops = 2 * partial_products;
-    let wpc = cfg.dma.dram.words_per_cycle;
-    // Scattered short-vector streams pay DRAM row-activation overheads:
-    // roughly a third of peak sequential bandwidth.
-    let wpc_scattered = wpc / 3.0;
 
-    // Multiply phase: stream A (CSR + CSC) contiguously, write partial
-    // vectors (small scattered runs) and one pointer per vector
-    // (fire-and-forget writes: no control dependency).
-    let a_words = 2 * (2 * a.nnz() + a.rows() + 1) as u64;
-    let compute_cycles = partial_products / cfg.compute_lanes.max(1) as u64;
-    let mul_stream = (a_words as f64 / wpc).ceil() as u64;
-    let mul_scatter = ((partial_products + num_vectors) as f64 / wpc_scattered).ceil() as u64;
-    let multiply_cycles = compute_cycles.max(mul_stream + mul_scatter);
+    /// The phase model under `cfg`.
+    fn evaluate(&self, cfg: &OuterSpaceConfig) -> OuterSpaceResult {
+        let OperandCount {
+            partial_products,
+            num_vectors,
+            nnz,
+            rows,
+        } = *self;
+        let flops = 2 * partial_products;
+        let wpc = cfg.dma.dram.words_per_cycle;
+        // Scattered short-vector streams pay DRAM row-activation overheads:
+        // roughly a third of peak sequential bandwidth.
+        let wpc_scattered = wpc / 3.0;
 
-    // Merge phase: read each pointer (scattered scalar with a *control
-    // dependency* — the vector read cannot issue before the pointer
-    // returns), then the vectors, then write the merged result.
-    let pointer_reads = pointer_read_cycles(num_vectors, cfg);
-    let vec_reads = (partial_products as f64 / wpc_scattered).ceil() as u64;
-    let result_writes = ((partial_products / 2) as f64 / wpc).ceil() as u64;
-    let merge_compute = partial_products / cfg.compute_lanes.max(1) as u64;
-    let merge_cycles = pointer_reads + vec_reads.max(merge_compute) + result_writes;
+        // Multiply phase: stream A (CSR + CSC) contiguously, write partial
+        // vectors (small scattered runs) and one pointer per vector
+        // (fire-and-forget writes: no control dependency).
+        let a_words = 2 * (2 * nnz + rows + 1);
+        let compute_cycles = partial_products / cfg.compute_lanes.max(1) as u64;
+        let mul_stream = (a_words as f64 / wpc).ceil() as u64;
+        let mul_scatter = ((partial_products + num_vectors) as f64 / wpc_scattered).ceil() as u64;
+        let multiply_cycles = compute_cycles.max(mul_stream + mul_scatter);
 
-    let cycles = (multiply_cycles + merge_cycles).max(1);
-    let secs = cycles as f64 / (cfg.freq_ghz * 1e9);
-    OuterSpaceResult {
-        flops,
-        cycles,
-        multiply_cycles,
-        merge_cycles,
-        pointer_cycles: pointer_reads,
-        gflops: flops as f64 / secs / 1e9,
+        // Merge phase: read each pointer (scattered scalar with a *control
+        // dependency* — the vector read cannot issue before the pointer
+        // returns), then the vectors, then write the merged result.
+        let pointer_reads = pointer_read_cycles(num_vectors, cfg);
+        let vec_reads = (partial_products as f64 / wpc_scattered).ceil() as u64;
+        let result_writes = ((partial_products / 2) as f64 / wpc).ceil() as u64;
+        let merge_compute = partial_products / cfg.compute_lanes.max(1) as u64;
+        let merge_cycles = pointer_reads + vec_reads.max(merge_compute) + result_writes;
+
+        let cycles = (multiply_cycles + merge_cycles).max(1);
+        let secs = cycles as f64 / (cfg.freq_ghz * 1e9);
+        OuterSpaceResult {
+            flops,
+            cycles,
+            multiply_cycles,
+            merge_cycles,
+            pointer_cycles: pointer_reads,
+            gflops: flops as f64 / secs / 1e9,
+        }
     }
 }
 
@@ -158,7 +202,18 @@ fn pointer_read_cycles(num_vectors: u64, cfg: &OuterSpaceConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stellar_tensor::CscMatrix;
     use stellar_workloads::suite;
+
+    /// One config through the slice API: the single-config form the tests
+    /// below are written against.
+    fn outerspace_throughput(
+        m: &SuiteMatrix,
+        cfg: &OuterSpaceConfig,
+        seed: u64,
+    ) -> OuterSpaceResult {
+        super::outerspace_throughput(m, std::slice::from_ref(cfg), seed)[0]
+    }
 
     fn poisson() -> SuiteMatrix {
         suite()
@@ -231,5 +286,58 @@ mod tests {
         let want: u64 = 2 * partials.iter().map(|p| p.nnz() as u64).sum::<u64>();
         let got = outerspace_throughput_on(&a, &OuterSpaceConfig::stellar_default());
         assert_eq!(got.flops, want);
+    }
+
+    /// The per-`k` loop over a CSC copy that the one-pass count replaced.
+    fn count_via_csc(a: &CsrMatrix) -> OperandCount {
+        let a_csc = CscMatrix::from_csr(a);
+        let (mut partial_products, mut num_vectors) = (0u64, 0u64);
+        for k in 0..a.rows().min(a.cols()) {
+            let col_nnz = a_csc.col_len(k) as u64;
+            let row_nnz = a.row_len(k) as u64;
+            partial_products += col_nnz * row_nnz;
+            num_vectors += if row_nnz > 0 { col_nnz } else { 0 };
+        }
+        OperandCount {
+            partial_products,
+            num_vectors,
+            nnz: a.nnz() as u64,
+            rows: a.rows() as u64,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The one-pass count equals the per-`k` CSC loop on square and
+        /// non-square operands, with empty rows and columns and stored
+        /// explicit zeros.
+        #[test]
+        fn operand_count_matches_csc_loop(
+            rows in 0usize..24,
+            cols in 0usize..24,
+            fill in 0u64..=8,
+            seed in proptest::num::u64::ANY,
+        ) {
+            let a = crate::testing::raw_csr(rows, cols, fill, seed);
+            proptest::prop_assert_eq!(OperandCount::of(&a), count_via_csc(&a));
+        }
+    }
+
+    #[test]
+    fn every_config_reads_one_count() {
+        let m = poisson();
+        let cfgs = [
+            OuterSpaceConfig::stellar_default(),
+            OuterSpaceConfig::stellar_fixed(),
+            OuterSpaceConfig::handwritten(),
+        ];
+        let a = m.instantiate(4096, 5);
+        let want: Vec<OuterSpaceResult> = cfgs
+            .iter()
+            .map(|cfg| outerspace_throughput_on(&a, cfg))
+            .collect();
+        assert_eq!(super::outerspace_throughput(&m, &cfgs, 5), want);
+        assert!(super::outerspace_throughput(&m, &[], 5).is_empty());
     }
 }

@@ -12,17 +12,18 @@ fn main() {
         "Figure 16b — OuterSPACE throughput on SuiteSparse (GFLOP/s)",
     );
 
-    let default_cfg = OuterSpaceConfig::stellar_default();
-    let fixed_cfg = OuterSpaceConfig::stellar_fixed();
-    let hand_cfg = OuterSpaceConfig::handwritten();
+    let cfgs = [
+        OuterSpaceConfig::stellar_default(),
+        OuterSpaceConfig::stellar_fixed(),
+        OuterSpaceConfig::handwritten(),
+    ];
 
     let mut rows = Vec::new();
     let (mut d_sum, mut f_sum, mut h_sum, mut ptr_frac_sum) = (0.0, 0.0, 0.0, 0.0);
     let mats = suite();
     for (n, m) in mats.iter().enumerate() {
-        let d = outerspace_throughput(m, &default_cfg, 100 + n as u64);
-        let f = outerspace_throughput(m, &fixed_cfg, 100 + n as u64);
-        let h = outerspace_throughput(m, &hand_cfg, 100 + n as u64);
+        let r = outerspace_throughput(m, &cfgs, 100 + n as u64);
+        let (d, f, h) = (r[0], r[1], r[2]);
         d_sum += d.gflops;
         f_sum += f.gflops;
         h_sum += h.gflops;

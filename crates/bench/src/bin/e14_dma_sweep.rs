@@ -25,29 +25,28 @@ fn main() {
     let mats: Vec<_> = suite().into_iter().take(10).collect();
     let tech = Technology::asap7();
 
-    // Every (slot count, matrix) point is an independent seeded model
-    // evaluation: sweep the whole grid in parallel, then average per slot
-    // count in matrix order so the floating-point reduction (and thus the
-    // report) matches the serial sweep bit for bit.
-    let grid: Vec<f64> = (0..SLOTS.len() * mats.len())
+    // Each matrix is instantiated once and evaluated at every slot count;
+    // the matrices are independent seeded instances, swept in parallel.
+    // Averages per slot count reduce in matrix order, so the floating-point
+    // sums (and thus the report) match the serial sweep bit for bit.
+    let cfgs = SLOTS.map(|slots| OuterSpaceConfig {
+        dma: DmaModel::with_slots(slots),
+        ..OuterSpaceConfig::stellar_default()
+    });
+    let grid: Vec<Vec<f64>> = (0..mats.len())
         .into_par_iter()
-        .map(|point| {
-            let (s, n) = (point / mats.len(), point % mats.len());
-            let cfg = OuterSpaceConfig {
-                dma: DmaModel::with_slots(SLOTS[s]),
-                ..OuterSpaceConfig::stellar_default()
-            };
-            outerspace_throughput(&mats[n], &cfg, 300 + n as u64).gflops
+        .map(|n| {
+            outerspace_throughput(&mats[n], &cfgs, 300 + n as u64)
+                .iter()
+                .map(|r| r.gflops)
+                .collect()
         })
         .collect();
 
     let mut rows = Vec::new();
     let mut prev_gflops = 0.0;
     for (s, &slots) in SLOTS.iter().enumerate() {
-        let avg: f64 = grid[s * mats.len()..(s + 1) * mats.len()]
-            .iter()
-            .sum::<f64>()
-            / mats.len() as f64;
+        let avg: f64 = grid.iter().map(|per_slot| per_slot[s]).sum::<f64>() / mats.len() as f64;
         let area = dma_area_um2(
             &DmaDesign {
                 max_inflight_reqs: slots,

@@ -70,7 +70,9 @@ pub use engine::{Engine, EngineStats, Event, EventQueue};
 pub use error::{SimError, Watchdog, DEFAULT_WATCHDOG_BUDGET};
 pub use fault::{DmaFault, EccMode, FaultCounts, FaultInjector, FaultPlan, RunOutcome};
 pub use gemm::{gemm_cycles, layer_utilization, GemmBreakdown, GemmParams};
-pub use merger::{rows_of_partials, FlattenedMerger, MergeStats, Merger, RowPartitionedMerger};
+pub use merger::{
+    rows_of_partials, FlattenedMerger, MergeCounter, MergeStats, Merger, RowPartitionedMerger,
+};
 pub use metrics::{Histogram, MetricValue, MetricsRegistry, Stopwatch};
 pub use sparse::{
     simulate_sparse_matmul, simulate_sparse_matmul_traced, BalancePolicy, SparseArrayParams,

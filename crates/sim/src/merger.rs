@@ -52,9 +52,26 @@ impl MergeStats {
 }
 
 /// A merger design point.
+///
+/// A merger's cost depends only on each output row's merged length, so
+/// [`Merger::simulate_lengths`] is the one cost model; the fiber-batch
+/// entry points count those lengths with a [`MergeCounter`] and call it.
 pub trait Merger {
     /// Maximum merged elements per cycle.
     fn max_throughput(&self) -> usize;
+
+    /// Simulates merging one batch whose output row `r` has `lengths[r]`
+    /// merged elements, under an explicit cycle budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::WatchdogExpired`] if the merge needs more cycles
+    /// than the watchdog allows.
+    fn simulate_lengths(
+        &self,
+        lengths: &[u64],
+        watchdog: &Watchdog,
+    ) -> Result<MergeStats, SimError>;
 
     /// Simulates merging one batch of per-row fiber groups under an
     /// explicit cycle budget. `rows[r]` holds the fibers (one per partial
@@ -69,7 +86,14 @@ pub trait Merger {
         &self,
         rows: &[Vec<Fiber>],
         watchdog: &Watchdog,
-    ) -> Result<MergeStats, SimError>;
+    ) -> Result<MergeStats, SimError> {
+        let mut counter = MergeCounter::default();
+        let lengths: Vec<u64> = rows
+            .iter()
+            .map(|fibers| counter.merged_len(fibers))
+            .collect();
+        self.simulate_lengths(&lengths, watchdog)
+    }
 
     /// [`Merger::simulate_budgeted`] under the default watchdog budget.
     fn simulate(&self, rows: &[Vec<Fiber>]) -> Result<MergeStats, SimError> {
@@ -87,53 +111,92 @@ pub trait Merger {
 /// by coordinate, reused across rows via a generation stamp so no
 /// clearing pass is needed.
 ///
-/// Per coordinate, values are added in fiber order starting from `0.0` —
-/// exactly the float-add order of [`merge_fibers`]'s inner loop (fiber
-/// coords are strictly increasing, so the merge visits each fiber's entry
-/// for a coordinate exactly once, in fiber order). The sums are therefore
-/// bit-identical, the `!= 0.0` cancellation test agrees, and the counted
-/// length matches the materializing merge exactly. The [`reference`]
-/// module keeps calling [`merge_fibers`] itself, so the engine-vs-oracle
-/// equivalence tests cross-check this counter on every batch.
-#[derive(Default)]
-struct MergeCounter {
+/// A row is [`begin_row`](MergeCounter::begin_row), one
+/// [`add`](MergeCounter::add) per entry, then
+/// [`end_row`](MergeCounter::end_row). Per coordinate, values are summed
+/// in the order they are added, starting from `0.0`. [`merged_len`]
+/// adds in fiber order — exactly the float-add order of [`merge_fibers`]'s
+/// inner loop (fiber coords are strictly increasing, so the merge visits
+/// each fiber's entry for a coordinate exactly once, in fiber order). The
+/// sums are therefore bit-identical, the `!= 0.0` cancellation test
+/// agrees, and the counted length matches the materializing merge
+/// exactly. A caller that holds the fibers' entries in another layout
+/// (such as an operand's CSR) gets the same count by adding them in the
+/// same order. The [`reference`](mod@reference) module keeps calling
+/// [`merge_fibers`] itself, so the engine-vs-oracle equivalence tests
+/// cross-check this counter on every batch.
+///
+/// [`merged_len`]: MergeCounter::merged_len
+#[derive(Debug, Default)]
+pub struct MergeCounter {
     sums: Vec<f64>,
     stamp: Vec<u64>,
     generation: u64,
     touched: Vec<usize>,
 }
 
+/// One stamped accumulation: first touch in this generation clears the
+/// slot and records it, then the value is added.
+#[inline(always)]
+fn tally(
+    stamp: &mut [u64],
+    sums: &mut [f64],
+    touched: &mut Vec<usize>,
+    generation: u64,
+    c: usize,
+    v: f64,
+) {
+    if stamp[c] != generation {
+        stamp[c] = generation;
+        sums[c] = 0.0;
+        touched.push(c);
+    }
+    sums[c] += v;
+}
+
 impl MergeCounter {
+    /// Starts a new output row whose coordinates are all below `width`.
+    pub fn begin_row(&mut self, width: usize) {
+        if self.sums.len() < width {
+            self.sums.resize(width, 0.0);
+            self.stamp.resize(width, 0);
+        }
+        self.generation += 1;
+    }
+
+    /// Adds `v` at coordinate `c` of the current row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not below the `width` given to
+    /// [`MergeCounter::begin_row`] (or to an earlier, wider row).
+    #[inline(always)]
+    pub fn add(&mut self, c: usize, v: f64) {
+        tally(
+            &mut self.stamp,
+            &mut self.sums,
+            &mut self.touched,
+            self.generation,
+            c,
+            v,
+        );
+    }
+
+    /// Ends the current row, returning how many of its coordinates summed
+    /// to a nonzero value.
+    pub fn end_row(&mut self) -> u64 {
+        let sums = &self.sums;
+        self.touched.drain(..).filter(|&c| sums[c] != 0.0).count() as u64
+    }
+
     /// `merge_fibers(fibers).len() as u64`, without materializing the
     /// merged fiber.
-    fn merged_len(&mut self, fibers: &[Fiber]) -> u64 {
+    pub fn merged_len(&mut self, fibers: &[Fiber]) -> u64 {
         let Some(max) = fibers.iter().filter_map(|f| f.coords.last()).max() else {
             return 0;
         };
-        if self.sums.len() <= *max {
-            self.sums.resize(max + 1, 0.0);
-            self.stamp.resize(max + 1, 0);
-        }
-        self.generation += 1;
+        self.begin_row(max + 1);
         let generation = self.generation;
-        /// One stamped accumulation: first touch in this generation
-        /// clears the slot and records it, then the value is added.
-        #[inline(always)]
-        fn tally(
-            stamp: &mut [u64],
-            sums: &mut [f64],
-            touched: &mut Vec<usize>,
-            generation: u64,
-            c: usize,
-            v: f64,
-        ) {
-            if stamp[c] != generation {
-                stamp[c] = generation;
-                sums[c] = 0.0;
-                touched.push(c);
-            }
-            sums[c] += v;
-        }
         for f in fibers {
             debug_assert!(
                 f.coords.windows(2).all(|w| w[0] < w[1]),
@@ -205,8 +268,7 @@ impl MergeCounter {
                 x += 1;
             }
         }
-        let sums = &self.sums;
-        self.touched.drain(..).filter(|&c| sums[c] != 0.0).count() as u64
+        self.end_row()
     }
 }
 
@@ -235,18 +297,12 @@ impl Merger for RowPartitionedMerger {
         self.lanes
     }
 
-    fn simulate_budgeted(
+    fn simulate_lengths(
         &self,
-        rows: &[Vec<Fiber>],
+        row_cost: &[u64],
         watchdog: &Watchdog,
     ) -> Result<MergeStats, SimError> {
-        // Per-row output length (the lane busy time for that row),
-        // counted flat instead of materializing each merged fiber.
-        let mut counter = MergeCounter::default();
-        let row_cost: Vec<u64> = rows
-            .iter()
-            .map(|fibers| counter.merged_len(fibers))
-            .collect();
+        // A row's output length is the lane busy time for that row.
         let merged_elements: u64 = row_cost.iter().sum();
         // Greedy longest-processing-time assignment would be the balanced
         // ideal; hardware assigns rows to lanes in arrival order.
@@ -340,13 +396,12 @@ impl Merger for FlattenedMerger {
         self.width
     }
 
-    fn simulate_budgeted(
+    fn simulate_lengths(
         &self,
-        rows: &[Vec<Fiber>],
+        lengths: &[u64],
         watchdog: &Watchdog,
     ) -> Result<MergeStats, SimError> {
-        let mut counter = MergeCounter::default();
-        let merged_elements: u64 = rows.iter().map(|fibers| counter.merged_len(fibers)).sum();
+        let merged_elements: u64 = lengths.iter().sum();
         let width = self.width.max(1) as u64;
         let full_steps = merged_elements / width;
         let steps = merged_elements.div_ceil(width);

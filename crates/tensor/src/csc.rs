@@ -56,9 +56,17 @@ impl CscMatrix {
         }
     }
 
-    /// Builds from a CSR matrix.
+    /// Builds from a CSR matrix by a counting transpose in O(nnz + cols)
+    /// (explicit zeros dropped, as [`CscMatrix::from_coo`] drops them).
     pub fn from_csr(csr: &CsrMatrix) -> CscMatrix {
-        CscMatrix::from_coo(&csr.to_coo())
+        let (col_ptr, row_idx, values) = csr.transposed_arrays();
+        CscMatrix {
+            rows: csr.rows(),
+            cols: csr.cols(),
+            col_ptr,
+            row_idx,
+            values,
+        }
     }
 
     /// Number of rows.
@@ -161,6 +169,23 @@ mod tests {
         let m = CscMatrix::from_dense(&sample());
         assert_eq!(m.col(0), (&[0, 2][..], &[1.0, 4.0][..]));
         assert_eq!(m.col_len(1), 1);
+    }
+
+    #[test]
+    fn from_csr_matches_coo_route() {
+        // Stored explicit zeros of both signs, an empty row and an empty
+        // column, on a non-square shape.
+        let csr = CsrMatrix::from_raw(
+            3,
+            4,
+            vec![0, 3, 3, 6],
+            vec![0, 1, 3, 0, 1, 3],
+            vec![1.5, 0.0, -2.0, -0.0, 4.0, 5.0],
+        );
+        let csc = CscMatrix::from_csr(&csr);
+        assert_eq!(csc, CscMatrix::from_coo(&csr.to_coo()));
+        assert_eq!(csc.col_ptr(), &[0, 1, 2, 2, 4]);
+        assert_eq!(csc.col(1), (&[2][..], &[4.0][..]));
     }
 
     #[test]

@@ -208,15 +208,51 @@ impl CsrMatrix {
     }
 
     /// The transpose (equivalently: reinterprets this CSR as CSC of Aᵀ).
+    /// Explicit zeros are dropped, as [`CsrMatrix::from_coo`] drops them.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.cols, self.rows);
+        let (row_ptr, col_idx, values) = self.transposed_arrays();
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// The `(ptr, idx, values)` arrays of the transpose, by a counting
+    /// transpose in O(nnz + cols): count each column's non-zeros, prefix-sum
+    /// the counts into column starts, then scatter the rows in ascending
+    /// order, so every column's row indices come out sorted. Explicit zeros
+    /// (`0.0` and `-0.0`) are skipped, which is what a COO round trip's
+    /// `compact` does. Shared by [`CsrMatrix::transpose`] and
+    /// [`CscMatrix::from_csr`](crate::CscMatrix::from_csr).
+    pub(crate) fn transposed_arrays(&self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let mut ptr = vec![0usize; self.cols + 1];
+        for (&c, &v) in self.col_idx.iter().zip(&self.values) {
+            if v != 0.0 {
+                ptr[c + 1] += 1;
+            }
+        }
+        for c in 0..self.cols {
+            ptr[c + 1] += ptr[c];
+        }
+        let nnz = ptr[self.cols];
+        let mut next = ptr[..self.cols].to_vec();
+        let mut idx = vec![0usize; nnz];
+        let mut values = vec![0.0; nnz];
         for r in 0..self.rows {
             let (cols, vals) = self.row(r);
             for (&c, &v) in cols.iter().zip(vals) {
-                coo.push(c, r, v);
+                if v != 0.0 {
+                    let slot = next[c];
+                    next[c] += 1;
+                    idx[slot] = r;
+                    values[slot] = v;
+                }
             }
         }
-        CsrMatrix::from_coo(&coo)
+        (ptr, idx, values)
     }
 
     /// Sparse matrix × dense vector.
@@ -289,6 +325,73 @@ mod tests {
         assert_eq!(m.row_len(2), 2);
         assert_eq!(m.at(2, 3), 4.0);
         assert_eq!(m.at(2, 2), 0.0);
+    }
+
+    /// The COO route the counting transpose replaced: push every entry
+    /// transposed, then sort, sum and drop zeros in `from_coo`.
+    fn transpose_via_coo(m: &CsrMatrix) -> CsrMatrix {
+        let mut coo = CooMatrix::new(m.cols(), m.rows());
+        for r in 0..m.rows() {
+            let (cols, vals) = m.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                coo.push(c, r, v);
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// Raw CSR arrays for a `rows × cols` matrix: each slot is stored with
+    /// probability ~`fill`/8 and takes a value from `{0.0, -0.0, ±1.5,
+    /// ±2, 3.25}`, so stored explicit zeros of both signs, empty rows and
+    /// empty columns all occur.
+    fn raw_csr(rows: usize, cols: usize, fill: u64, seed: u64) -> CsrMatrix {
+        const VALUES: [f64; 7] = [0.0, -0.0, 1.5, -1.5, 2.0, -2.0, 3.25];
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for _ in 0..rows {
+            for c in 0..cols {
+                if next() % 8 < fill {
+                    col_idx.push(c);
+                    values.push(VALUES[(next() % 7) as usize]);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The counting transpose is the COO route, array for array,
+        /// down to the sign bit of every value; transposing twice gives the
+        /// input back without its explicit zeros.
+        #[test]
+        fn counting_transpose_matches_coo_route(
+            rows in 0usize..12,
+            cols in 0usize..12,
+            fill in 0u64..=8,
+            seed in proptest::num::u64::ANY,
+        ) {
+            let m = raw_csr(rows, cols, fill, seed);
+            let got = m.transpose();
+            let want = transpose_via_coo(&m);
+            proptest::prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+            proptest::prop_assert_eq!(got.row_ptr(), want.row_ptr());
+            proptest::prop_assert_eq!(got.col_idx(), want.col_idx());
+            let bits = |m: &CsrMatrix| -> Vec<u64> {
+                m.values().iter().map(|v| v.to_bits()).collect()
+            };
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            proptest::prop_assert!(got.values().iter().all(|&v| v != 0.0));
+            proptest::prop_assert_eq!(got.transpose(), CsrMatrix::from_coo(&m.to_coo()));
+        }
     }
 
     #[test]

@@ -126,7 +126,9 @@ fn outerspace_dma_fix_shape() {
         let sum: f64 = mats
             .iter()
             .enumerate()
-            .map(|(n, m)| outerspace_throughput(m, cfg, 50 + n as u64).gflops)
+            .map(|(n, m)| {
+                outerspace_throughput(m, std::slice::from_ref(cfg), 50 + n as u64)[0].gflops
+            })
             .sum();
         sum / mats.len() as f64
     };
