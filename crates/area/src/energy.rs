@@ -42,9 +42,6 @@ pub struct EnergyModel {
     /// hand-tuned) control logic — the source of the 7%–30% per-layer
     /// overhead range in Figure 17.
     pub control_overhead: f64,
-    /// Per-access energy multiplier on SRAM and regfile words, 1.0 when
-    /// unprotected; see [`EnergyModel::with_secded`].
-    pub memory_access_ratio: f64,
 }
 
 impl EnergyModel {
@@ -61,16 +58,7 @@ impl EnergyModel {
             tech,
             data_bits: design.data_bits,
             control_overhead: generated_overhead,
-            memory_access_ratio: 1.0,
         }
-    }
-
-    /// Charges every SRAM and regfile access the SECDED overhead (wider
-    /// stored word plus encode/decode trees) — pairs with
-    /// [`crate::ecc::area_of_with_ecc`] on the area side.
-    pub fn with_secded(mut self) -> EnergyModel {
-        self.memory_access_ratio = crate::ecc::secded_access_energy_ratio(self.data_bits);
-        self
     }
 
     /// Energy of one MAC at this data width, pJ.
@@ -82,8 +70,8 @@ impl EnergyModel {
     /// Total energy for the counted traffic, pJ.
     pub fn total_pj(&self, t: &TrafficCounts) -> f64 {
         let dynamic = t.macs as f64 * self.mac_pj()
-            + t.sram_accesses as f64 * self.tech.sram_word_pj * self.memory_access_ratio
-            + t.regfile_accesses as f64 * self.tech.regfile_word_pj * self.memory_access_ratio
+            + t.sram_accesses as f64 * self.tech.sram_word_pj
+            + t.regfile_accesses as f64 * self.tech.regfile_word_pj
             + t.dram_words as f64 * self.tech.dram_word_pj;
         let control = t.pe_cycles as f64 * self.tech.pe_static_pj_per_cycle;
         dynamic * (1.0 + self.control_overhead) + control
@@ -163,21 +151,6 @@ mod tests {
     fn zero_macs_zero_epm() {
         let m = EnergyModel::new(&design(false), Technology::intel22());
         assert_eq!(energy_per_mac_pj(&m, &TrafficCounts::default()), 0.0);
-    }
-
-    #[test]
-    fn secded_costs_access_energy() {
-        let plain = EnergyModel::new(&design(false), Technology::intel22());
-        let ecc = EnergyModel::new(&design(false), Technology::intel22()).with_secded();
-        let t = traffic();
-        assert!(ecc.total_pj(&t) > plain.total_pj(&t));
-        // MAC energy itself is untouched by memory protection.
-        assert_eq!(ecc.mac_pj(), plain.mac_pj());
-        let compute_only = TrafficCounts {
-            macs: 1000,
-            ..TrafficCounts::default()
-        };
-        assert_eq!(ecc.total_pj(&compute_only), plain.total_pj(&compute_only));
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   vs 700 MHz claim of §VI-B).
 
 pub mod area;
-pub mod ecc;
 pub mod energy;
 pub mod merger;
 pub mod tech;
@@ -27,10 +26,6 @@ pub mod timing;
 pub use area::{
     area_of, array_area_um2, membuf_addr_gen_area_um2, membuf_sram_area_um2, pe_area_um2,
     regfile_area_um2, AreaBreakdown,
-};
-pub use ecc::{
-    area_of_with_ecc, ecc_area_overhead_fraction, secded_access_energy_ratio, secded_check_bits,
-    secded_code_bits, secded_storage_ratio,
 };
 pub use energy::{energy_per_mac_pj, EnergyModel, TrafficCounts};
 pub use merger::{flattened_merger_area_um2, merger_area_ratio, row_partitioned_merger_area_um2};

@@ -9,8 +9,8 @@ use stellar_bench::{pct, table, Report};
 use stellar_core::prelude::*;
 use stellar_core::IndexId;
 use stellar_sim::{
-    simulate_sparse_matmul_traced, BalancePolicy, FaultInjector, FaultPlan, SparseArrayParams,
-    Tracer, Watchdog, DEFAULT_TRACE_CAPACITY,
+    simulate_sparse_matmul_traced, BalancePolicy, SparseArrayParams, Tracer, Watchdog,
+    DEFAULT_TRACE_CAPACITY,
 };
 use stellar_tensor::gen;
 
@@ -55,7 +55,6 @@ fn main() -> Result<(), CompileError> {
                     row_startup_cycles: 1,
                     balance: policies[p].1,
                 },
-                &mut FaultInjector::new(FaultPlan::none()),
                 Watchdog::default_budget(),
                 &mut tracer,
             )

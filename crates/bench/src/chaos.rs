@@ -4,7 +4,8 @@
 //! quarantine, post-flight report validation — are worthless if they only
 //! ever run when something *actually* breaks. This module injects child
 //! failures on a seeded schedule, the same SplitMix64 pattern the
-//! simulator's [`FaultPlan`](stellar_sim::FaultPlan) uses: a
+//! simulator's DMA response-loss [`FaultPlan`](stellar_sim::FaultPlan)
+//! uses, but aimed at the harness rather than the simulated hardware: a
 //! [`ChaosPlan`]'s fate for a given `(experiment, attempt)` pair is a pure
 //! function of the seed, independent of scheduling order or `-j N`, so a
 //! chaotic run is exactly reproducible.
@@ -67,7 +68,7 @@ impl ChaosPlan {
     }
 
     /// True if the plan can never inject anything.
-    pub fn is_fault_free(&self) -> bool {
+    pub fn is_inert(&self) -> bool {
         (self.kill_per_launch <= 0.0
             && self.hang_per_launch <= 0.0
             && self.corrupt_per_report <= 0.0)
@@ -141,7 +142,7 @@ impl ChaosInjector {
     /// pure function of `(plan.seed, name, attempt)`, so the schedule is
     /// identical for every `-j N` and every interleaving.
     pub fn fate(&self, name: &str, attempt: u32) -> Fate {
-        if self.plan.is_fault_free() || attempt >= self.plan.attempts_affected {
+        if self.plan.is_inert() || attempt >= self.plan.attempts_affected {
             return Fate::Healthy;
         }
         let mut rng = Rng64::seed_from_u64(
@@ -253,7 +254,7 @@ mod tests {
         assert_eq!(plan.hang_per_launch, 0.25);
         assert_eq!(plan.corrupt_per_report, 1.0);
         assert_eq!(plan.attempts_affected, 1);
-        assert!(ChaosPlan::parse("").unwrap().is_fault_free());
+        assert!(ChaosPlan::parse("").unwrap().is_inert());
         assert!(ChaosPlan::parse("bogus=1").is_err());
         assert!(ChaosPlan::parse("kill").is_err());
         assert!(ChaosPlan::parse("kill=x").is_err());

@@ -28,8 +28,8 @@ use stellar_core::{
 };
 use stellar_sim::metrics::{escape, json_f64};
 use stellar_sim::{
-    simulate_sparse_matmul_traced, BalancePolicy, EngineStats, FaultInjector, FaultPlan, Histogram,
-    SparseArrayParams, Tracer, Watchdog,
+    simulate_sparse_matmul_traced, BalancePolicy, EngineStats, Histogram, SparseArrayParams,
+    Tracer, Watchdog,
 };
 use stellar_tensor::{gen, CsrMatrix};
 
@@ -131,11 +131,9 @@ pub fn run_profile(opts: &ProfileOptions) -> ProfileReport {
                 row_startup_cycles: 1,
                 balance: policy,
             };
-            let mut injector = FaultInjector::new(FaultPlan::none());
             match simulate_sparse_matmul_traced(
                 b,
                 &params,
-                &mut injector,
                 Watchdog::default_budget(),
                 &mut Tracer::disabled(),
             ) {

@@ -152,17 +152,16 @@ impl Host {
     ///
     /// [`HostError::DramExhausted`] when the arrays do not fit.
     pub fn dram_store_csc(&mut self, m: &CscMatrix) -> Result<(u64, u64, u64), HostError> {
-        let csr_of_t = m.to_csr().transpose(); // rows of the transpose = columns of m
         let data = self.alloc(m.nnz())?;
-        for (n, &v) in csr_of_t.values().iter().enumerate() {
+        for (n, &v) in m.values().iter().enumerate() {
             self.dram[data as usize + n] = v.to_bits();
         }
         let col_ptrs = self.alloc(m.cols() + 1)?;
-        for (n, &p) in csr_of_t.row_ptr().iter().enumerate() {
+        for (n, &p) in m.col_ptr().iter().enumerate() {
             self.dram[col_ptrs as usize + n] = p as u64;
         }
         let coords = self.alloc(m.nnz())?;
-        for (n, &c) in csr_of_t.col_idx().iter().enumerate() {
+        for (n, &c) in m.row_idx().iter().enumerate() {
             self.dram[coords as usize + n] = c as u64;
         }
         Ok((data, col_ptrs, coords))

@@ -21,8 +21,8 @@
 //!   accounting invariant the ticked loops maintain.
 //! * **Deterministic ordering.** Events at equal timestamps pop in the
 //!   order they were scheduled (FIFO tie-break via a monotone sequence
-//!   number), which keeps lane iteration order — and therefore RNG draw
-//!   order under fault injection — identical to the per-cycle reference.
+//!   number), which keeps lane iteration order identical to the per-cycle
+//!   reference.
 //!
 //! The queue is a preallocated sorted ring (see [`EventQueue`]):
 //! scheduling and popping inside a simulation loop performs no heap

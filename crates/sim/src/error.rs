@@ -4,11 +4,10 @@
 //! simulator must not. Every `simulate_*` entry point in this crate takes
 //! (or defaults) a cycle budget, checks it through a [`Watchdog`], and
 //! returns `Result<_, SimError>` instead of looping unbounded. The same
-//! error type reports deadlocks detected structurally (no lane can make
-//! progress while work remains) and unrecoverable injected faults (DMA
-//! retries exhausted).
+//! error type reports a DMA transfer wedged on a response that its retries
+//! could not recover.
 
-// The resilience layer must not itself panic: unwinding is denied in
+// The error path must not itself panic: unwinding is denied in
 // non-test code here.
 #![cfg_attr(
     not(test),
@@ -30,8 +29,8 @@ pub const DEFAULT_WATCHDOG_BUDGET: u64 = 100_000_000;
 /// Errors produced by the cycle-level simulators.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// No agent can make progress but work remains (detected structurally,
-    /// before the watchdog fires).
+    /// No agent can make progress but work remains — a DMA request whose
+    /// response was lost more times than its retry policy allows.
     Deadlock {
         /// The cycle at which the deadlock was detected.
         cycle: u64,
@@ -44,14 +43,6 @@ pub enum SimError {
         /// The budget that was exhausted.
         budget: u64,
         /// Which simulation loop expired.
-        detail: String,
-    },
-    /// An injected fault exceeded the recovery mechanisms (e.g. DMA retries
-    /// exhausted, uncorrectable ECC word consumed by control logic).
-    FaultUnrecovered {
-        /// The cycle of the unrecoverable fault.
-        cycle: u64,
-        /// What failed.
         detail: String,
     },
     /// The simulation parameters are inconsistent (zero bandwidth, empty
@@ -67,9 +58,6 @@ impl fmt::Display for SimError {
             }
             SimError::WatchdogExpired { budget, detail } => {
                 write!(f, "watchdog expired after {budget} cycles: {detail}")
-            }
-            SimError::FaultUnrecovered { cycle, detail } => {
-                write!(f, "unrecovered fault at cycle {cycle}: {detail}")
             }
             SimError::InvalidConfig(msg) => write!(f, "invalid simulation config: {msg}"),
         }
@@ -179,11 +167,6 @@ mod tests {
             detail: "sparse".into(),
         };
         assert!(e.to_string().contains("watchdog expired after 9"));
-        let e = SimError::FaultUnrecovered {
-            cycle: 3,
-            detail: "dma".into(),
-        };
-        assert!(e.to_string().contains("unrecovered fault"));
         assert!(SimError::InvalidConfig("x".into())
             .to_string()
             .contains("invalid"));

@@ -18,7 +18,7 @@
 //!   merger models (Figures 18 and 19).
 //! * [`dma`] — a DMA/DRAM model separating contiguous bursts from
 //!   latency-bound scattered requests (the §VI-C bottleneck study), with an
-//!   optional reliability layer (per-request failure, timeout, and
+//!   optional reliability layer (per-request response loss, timeout, and
 //!   retry-with-backoff).
 //! * [`cache`] — a shared L2 model (the §IV-F Chipyard mitigation).
 //! * [`engine`] — the shared event-driven skip-ahead kernel under the
@@ -28,9 +28,8 @@
 //!   arithmetic step. Each model keeps its original per-cycle loop in a
 //!   `reference` submodule as the observational-equivalence oracle.
 //! * [`stats`] — shared counters and utilization accounting.
-//! * [`fault`] — deterministic seed-driven fault injection (bit flips,
-//!   dropped/duplicated DMA responses, stuck-at PEs, SRAM corruption) and
-//!   the SECDED protection model.
+//! * [`fault`] — the seed-driven DMA response-loss draw the reliability
+//!   layer retries against.
 //! * [`error`] — [`SimError`] and the [`Watchdog`] cycle budget that bounds
 //!   every simulation loop: all `simulate_*` entry points return `Result`
 //!   and terminate on deadlock or budget exhaustion instead of hanging.
@@ -43,11 +42,10 @@
 //!   used by the bench harness to emit one consolidated `metrics.json`.
 //!
 //! Each simulated operation has at most two entry points: a plain function
-//! with the default controls (no faults, the default watchdog budget, no
-//! trace), and one full-control form that takes every control input and
+//! with the default controls (the default watchdog budget, no trace), and one full-control form that takes every control input and
 //! returns everything the run measured. For the dense arrays that is
 //! [`simulate_ws_matmul`] / [`simulate_os_matmul`] and their `_traced`
-//! forms (fault injector, watchdog, tracer); for the sparse array,
+//! forms (watchdog, tracer); for the sparse array,
 //! [`simulate_sparse_matmul`] and [`simulate_sparse_matmul_traced`], which
 //! also returns the run's [`EngineStats`].
 
@@ -68,7 +66,7 @@ pub use cache::L2Cache;
 pub use dma::{DmaModel, DmaTransferReport, DramParams, RetryPolicy};
 pub use engine::{Engine, EngineStats, Event, EventQueue};
 pub use error::{SimError, Watchdog, DEFAULT_WATCHDOG_BUDGET};
-pub use fault::{DmaFault, EccMode, FaultCounts, FaultInjector, FaultPlan, RunOutcome};
+pub use fault::{FaultInjector, FaultPlan};
 pub use gemm::{gemm_cycles, layer_utilization, GemmBreakdown, GemmParams};
 pub use merger::{
     rows_of_partials, FlattenedMerger, MergeCounter, MergeStats, Merger, RowPartitionedMerger,

@@ -12,20 +12,19 @@
 //! completion to the next through the shared [`Engine`] instead of
 //! ticking every cycle. The retained per-cycle implementation lives in
 //! [`mod@reference`] and the two are proven observationally equivalent (same
-//! stats, breakdowns, and trace bytes under every seed and fault plan) by
-//! the `engine_equivalence` test suite.
+//! stats, breakdowns, and trace bytes under every seed and policy) by the
+//! `engine_equivalence` test suite.
 //!
-//! Two entry points: the plain [`simulate_sparse_matmul`] (fault-free,
-//! default watchdog, no trace) and [`simulate_sparse_matmul_traced`],
-//! which takes the fault injector, the watchdog and the tracer and returns
-//! the result together with the run's [`EngineStats`].
+//! Two entry points: the plain [`simulate_sparse_matmul`] (default
+//! watchdog, no trace) and [`simulate_sparse_matmul_traced`], which takes
+//! the watchdog and the tracer and returns the result together with the
+//! run's [`EngineStats`].
 
 use stellar_area::TrafficCounts;
 use stellar_tensor::CsrMatrix;
 
 use crate::engine::{Engine, EngineStats};
 use crate::error::{SimError, Watchdog};
-use crate::fault::{FaultInjector, FaultPlan};
 use crate::stats::{SimStats, Utilization};
 use crate::trace::{CycleBreakdown, StallClass, Tracer};
 
@@ -199,9 +198,8 @@ fn next_work(
 /// # Errors
 ///
 /// Returns [`SimError::WatchdogExpired`] if the run exceeds the default
-/// cycle budget. See [`simulate_sparse_matmul_traced`] for explicit budgets
-/// and fault injection (where a stuck lane can also yield
-/// [`SimError::Deadlock`]).
+/// cycle budget. See [`simulate_sparse_matmul_traced`] for explicit
+/// budgets.
 pub fn simulate_sparse_matmul(
     b: &CsrMatrix,
     params: &SparseArrayParams,
@@ -209,7 +207,6 @@ pub fn simulate_sparse_matmul(
     simulate_sparse_matmul_traced(
         b,
         params,
-        &mut FaultInjector::new(FaultPlan::none()),
         Watchdog::default_budget(),
         &mut Tracer::disabled(),
     )
@@ -220,13 +217,6 @@ pub fn simulate_sparse_matmul(
 /// result together with the [`EngineStats`] of the run (event-queue
 /// depth/compaction counters and the skip-ahead jump-length histogram,
 /// read once when the run ends; they never feed back into the result).
-///
-/// A `stuck_lane` in the fault plan models a hard PE failure: the lane
-/// never dispatches or advances. Whether the array survives depends on the
-/// balancing policy — `Global` balancing reroutes the dead lane's pending
-/// rows, while `None` (and `AdjacentRows`, which never steals a queue's
-/// head) deadlocks, which this function detects structurally and reports as
-/// [`SimError::Deadlock`] instead of spinning until the watchdog fires.
 ///
 /// Each advanced cycle is `Compute` when every lane is busy,
 /// `LoadImbalance` when only some are (the Figure 6 pathology this model
@@ -243,7 +233,6 @@ pub fn simulate_sparse_matmul(
 pub fn simulate_sparse_matmul_traced(
     b: &CsrMatrix,
     params: &SparseArrayParams,
-    injector: &mut FaultInjector,
     watchdog: Watchdog,
     tracer: &mut Tracer,
 ) -> Result<(SparseSimResult, EngineStats), SimError> {
@@ -264,7 +253,6 @@ pub fn simulate_sparse_matmul_traced(
         return Ok((empty, EngineStats::default()));
     }
 
-    let mut pending_rows = pending.total();
     // Struct-of-arrays lane state: duration of the in-flight row (0 = idle).
     let mut in_flight = vec![0u64; lanes];
     let mut busy_lanes = 0usize;
@@ -280,11 +268,7 @@ pub fn simulate_sparse_matmul_traced(
         // Dispatch: fill freed lanes, in lane order (steals mutate the
         // queues mid-scan exactly as the per-cycle reference does).
         for &l in &dispatchable {
-            if injector.lane_stuck(l) {
-                continue;
-            }
             if let Some(nnz) = next_work(&mut pending, l, lanes, params.balance) {
-                pending_rows -= 1;
                 let dur = nnz + params.row_startup_cycles;
                 tracer.span(
                     l as u32,
@@ -300,19 +284,11 @@ pub fn simulate_sparse_matmul_traced(
         }
         dispatchable.clear();
 
-        // Terminate when no lane holds work and no rows are pending.
+        // Terminate when no lane holds work. A lane with pending rows of
+        // its own always takes one when freed, so none are left.
         if busy_lanes == 0 {
-            if pending_rows == 0 {
-                break;
-            }
-            // Work remains but nothing can take it: a structural deadlock
-            // (e.g. a stuck lane owning rows no policy may steal).
-            return Err(SimError::Deadlock {
-                cycle: engine.now(),
-                detail: format!(
-                    "{pending_rows} rows pending, all lanes idle, no dispatch possible"
-                ),
-            });
+            debug_assert_eq!(pending.total(), 0, "idle lanes left rows pending");
+            break;
         }
 
         // Skip ahead to the next completion. The busy set is constant
@@ -389,7 +365,6 @@ pub mod reference {
     pub fn simulate_sparse_matmul_traced(
         b: &CsrMatrix,
         params: &SparseArrayParams,
-        injector: &mut FaultInjector,
         mut watchdog: Watchdog,
         tracer: &mut Tracer,
     ) -> Result<SparseSimResult, SimError> {
@@ -422,9 +397,8 @@ pub mod reference {
 
         loop {
             // Dispatch: fill idle lanes.
-            let mut dispatched = false;
             for l in 0..lanes {
-                if current[l].is_some() || injector.lane_stuck(l) {
+                if current[l].is_some() {
                     continue;
                 }
                 // Own queue first.
@@ -467,27 +441,14 @@ pub mod reference {
                     let dur = w.nnz + params.row_startup_cycles;
                     tracer.span(l as u32, "sparse_row", cycles, dur, StallClass::Compute);
                     current[l] = Some((w, dur));
-                    dispatched = true;
                 }
             }
 
-            let pending_rows: usize = pending.iter().map(|q| q.len()).sum();
-            // Terminate when no lane holds work and no rows are pending.
+            // Terminate when no lane holds work: an idle lane always takes
+            // its own pending rows, so none are left.
             if current.iter().all(|c| c.is_none()) {
-                if pending_rows == 0 {
-                    break;
-                }
-                if !dispatched {
-                    // Work remains but nothing can take it: a structural
-                    // deadlock (e.g. a stuck lane owning rows no policy may
-                    // steal).
-                    return Err(SimError::Deadlock {
-                        cycle: cycles,
-                        detail: format!(
-                            "{pending_rows} rows pending, all lanes idle, no dispatch possible"
-                        ),
-                    });
-                }
+                debug_assert!(pending.iter().all(|q| q.is_empty()));
+                break;
             }
 
             // Advance one cycle.
@@ -566,7 +527,6 @@ mod tests {
         let (profiled, stats) = simulate_sparse_matmul_traced(
             &b,
             &p,
-            &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::default_budget(),
             &mut Tracer::disabled(),
         )
@@ -585,7 +545,6 @@ mod tests {
         let (_, again) = simulate_sparse_matmul_traced(
             &b,
             &p,
-            &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::default_budget(),
             &mut Tracer::disabled(),
         )
@@ -659,53 +618,11 @@ mod tests {
         let err = simulate_sparse_matmul_traced(
             &b,
             &params(BalancePolicy::None),
-            &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::with_budget(3),
             &mut Tracer::disabled(),
         )
         .unwrap_err();
         assert!(matches!(err, SimError::WatchdogExpired { budget: 3, .. }));
-    }
-
-    #[test]
-    fn stuck_lane_deadlocks_without_balancing() {
-        let b = gen::uniform(32, 64, 0.3, 4);
-        let mut plan = FaultPlan::none();
-        plan.stuck_lane = Some(0);
-        let err = simulate_sparse_matmul_traced(
-            &b,
-            &params(BalancePolicy::None),
-            &mut FaultInjector::new(plan),
-            Watchdog::default_budget(),
-            &mut Tracer::disabled(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, SimError::Deadlock { .. }),
-            "a dead lane's rows are unreachable without balancing: {err:?}"
-        );
-    }
-
-    #[test]
-    fn global_balancing_tolerates_a_stuck_lane() {
-        // Load balancing doubles as fault tolerance: with Global stealing,
-        // the dead lane's pending rows reroute to live lanes and the run
-        // completes with all work conserved.
-        let b = gen::uniform(32, 64, 0.3, 4);
-        let mut plan = FaultPlan::none();
-        plan.stuck_lane = Some(0);
-        let (r, _) = simulate_sparse_matmul_traced(
-            &b,
-            &params(BalancePolicy::Global),
-            &mut FaultInjector::new(plan),
-            Watchdog::default_budget(),
-            &mut Tracer::disabled(),
-        )
-        .unwrap();
-        assert_eq!(r.lane_rows[0], 0, "the stuck lane must do nothing");
-        let rows_done: usize = r.lane_rows.iter().sum();
-        let nonempty = (0..32).filter(|&row| b.row_len(row) > 0).count();
-        assert_eq!(rows_done, nonempty);
     }
 
     #[test]
@@ -715,7 +632,6 @@ mod tests {
         let (r, _) = simulate_sparse_matmul_traced(
             &b,
             &params(BalancePolicy::None),
-            &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::default_budget(),
             &mut tracer,
         )
@@ -774,7 +690,6 @@ mod tests {
         let ref_r = reference::simulate_sparse_matmul_traced(
             &b,
             &p,
-            &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::default_budget(),
             &mut Tracer::disabled(),
         )
@@ -813,7 +728,6 @@ mod tests {
         let ref_r = reference::simulate_sparse_matmul_traced(
             &b,
             &p,
-            &mut FaultInjector::new(FaultPlan::none()),
             Watchdog::default_budget(),
             &mut Tracer::disabled(),
         )

@@ -40,7 +40,7 @@ use std::fmt;
 /// * `BankConflict` — cycles stalled on scratchpad/SRAM port bandwidth.
 /// * `LoadImbalance` — some lanes busy, others idle with no stealable work.
 /// * `MergeStall` — merger-specific overhead (row switches, ragged pops).
-/// * `FaultRecovery` — timeout/backoff/retry cycles of the fault layer.
+/// * `FaultRecovery` — timeout/backoff/retry cycles of lost DMA responses.
 /// * `Idle` — accounted control overhead and truly dead cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StallClass {
@@ -60,7 +60,7 @@ pub enum StallClass {
     LoadImbalance,
     /// Merger row-switch / ragged-pop overhead.
     MergeStall,
-    /// Fault-injection recovery (timeouts, backoff, retries).
+    /// DMA response-loss recovery (timeouts, backoff, retries).
     FaultRecovery,
     /// Control overhead and dead cycles.
     Idle,

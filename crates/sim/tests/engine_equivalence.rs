@@ -3,9 +3,9 @@
 //! implementations.
 //!
 //! The engine rewrite is only admissible because nothing observable moved:
-//! for every random shape, seed, balance policy, and fault plan, the
+//! for every random shape, seed, balance policy, and DMA loss plan, the
 //! stats, the cycle breakdowns (sum == cycles invariant included), the
-//! fault counters, and the *bytes* of the exported Chrome/CSV traces must
+//! drop counters, and the *bytes* of the exported Chrome/CSV traces must
 //! be identical between the two paths — and when a path fails, both must
 //! fail with the same error.
 
@@ -18,24 +18,6 @@ use stellar_sim::{
 };
 use stellar_tensor::ops::Fiber;
 use stellar_tensor::{gen, CsrMatrix, DenseMatrix};
-
-/// A fault plan drawn from the proptest input space.
-fn plan_of(seed: u64, kind: u8, stuck: Option<usize>) -> FaultPlan {
-    let mut plan = match kind % 4 {
-        0 => FaultPlan::none(),
-        1 => FaultPlan::transient(seed, 1e-2),
-        2 => FaultPlan::transient(seed, 5e-2).with_ecc(),
-        _ => {
-            let mut p = FaultPlan::none();
-            p.dma_drop_per_request = 0.2;
-            p.dma_duplicate_per_request = 0.1;
-            p
-        }
-    };
-    plan.seed = seed;
-    plan.stuck_lane = stuck;
-    plan
-}
 
 /// A small deterministic dense matrix (values in [-4, 4]).
 fn small_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
@@ -66,7 +48,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Sparse lane model: skip-ahead vs per-cycle, across all balance
-    /// policies, matrix shapes, fault plans, and stuck lanes.
+    /// policies and matrix shapes.
     #[test]
     fn sparse_event_driven_matches_per_cycle(
         rows in 1usize..=48,
@@ -74,38 +56,28 @@ proptest! {
         lanes in 1usize..=8,
         startup in 0u64..=4,
         seed in 0u64..500,
-        kind in 0u8..4,
-        stuck_raw in 0usize..=8,
         policy in proptest::sample::select(vec![
             BalancePolicy::None,
             BalancePolicy::AdjacentRows,
             BalancePolicy::Global,
         ]),
     ) {
-        // 8 encodes "no stuck lane"; anything else pins that lane.
-        let stuck = if stuck_raw < 8 { Some(stuck_raw) } else { None };
         let b = if seed % 3 == 0 {
             gen::uniform(rows, cols, 0.15, seed)
         } else {
             gen::imbalanced(rows, cols, (rows / 8).max(1), cols / 2, 4, seed)
         };
         let params = SparseArrayParams { lanes, row_startup_cycles: startup, balance: policy };
-        let plan = plan_of(seed, kind, stuck);
         let wd = Watchdog::default_budget();
-        let mut inj_a = FaultInjector::new(plan);
-        let mut inj_b = FaultInjector::new(plan);
         let mut tr_a = Tracer::enabled();
         let mut tr_b = Tracer::enabled();
-        let got = simulate_sparse_matmul_traced(&b, &params, &mut inj_a, wd, &mut tr_a)
-            .map(|(r, _)| r);
-        let want =
-            sparse::reference::simulate_sparse_matmul_traced(&b, &params, &mut inj_b, wd, &mut tr_b);
+        let got = simulate_sparse_matmul_traced(&b, &params, wd, &mut tr_a).map(|(r, _)| r);
+        let want = sparse::reference::simulate_sparse_matmul_traced(&b, &params, wd, &mut tr_b);
         prop_assert_eq!(&got, &want);
         if let Ok(r) = &got {
             r.stats.breakdown.debug_assert_accounts_for(r.stats.cycles, "sparse equivalence");
         }
         assert_traces_identical(&tr_a, &tr_b);
-        prop_assert_eq!(inj_a.counts, inj_b.counts);
     }
 
     /// Sparse: a tight watchdog must expire identically on both paths
@@ -123,40 +95,31 @@ proptest! {
             balance: BalancePolicy::Global,
         };
         let wd = Watchdog::with_budget(budget);
-        let mut inj_a = FaultInjector::new(FaultPlan::none());
-        let mut inj_b = FaultInjector::new(FaultPlan::none());
-        let got = simulate_sparse_matmul_traced(
-            &b, &params, &mut inj_a, wd, &mut Tracer::disabled()).map(|(r, _)| r);
+        let got = simulate_sparse_matmul_traced(&b, &params, wd, &mut Tracer::disabled())
+            .map(|(r, _)| r);
         let want = sparse::reference::simulate_sparse_matmul_traced(
-            &b, &params, &mut inj_b, wd, &mut Tracer::disabled());
+            &b, &params, wd, &mut Tracer::disabled());
         prop_assert_eq!(got, want);
     }
 
-    /// Weight-stationary systolic: flat double-buffered planes vs
-    /// per-step nested-Vec allocation, under fault injection and ECC
-    /// (every per-PE RNG draw must happen in the same order).
+    /// Weight-stationary systolic: flat double-buffered 4-wide lanes vs
+    /// per-PE steps over per-step nested-Vec allocation, bit for bit.
     #[test]
     fn ws_flat_buffers_match_reference(
         m in 1usize..=8,
         k in 1usize..=8,
         n in 1usize..=8,
         seed in 0u64..300,
-        kind in 0u8..3,
     ) {
         let a = small_matrix(m, k, seed);
         let b = small_matrix(k, n, seed + 7);
-        let plan = plan_of(seed, kind, None);
         let wd = Watchdog::default_budget();
-        let mut inj_a = FaultInjector::new(plan);
-        let mut inj_b = FaultInjector::new(plan);
         let mut tr_a = Tracer::enabled();
         let mut tr_b = Tracer::enabled();
-        let got = simulate_ws_matmul_traced(&a, &b, &mut inj_a, wd, &mut tr_a);
-        let want =
-            systolic::reference::simulate_ws_matmul_traced(&a, &b, &mut inj_b, wd, &mut tr_b);
+        let got = simulate_ws_matmul_traced(&a, &b, wd, &mut tr_a);
+        let want = systolic::reference::simulate_ws_matmul_traced(&a, &b, wd, &mut tr_b);
         prop_assert_eq!(got, want);
         assert_traces_identical(&tr_a, &tr_b);
-        prop_assert_eq!(inj_a.counts, inj_b.counts);
     }
 
     /// Output-stationary systolic: same equivalence as the WS array.
@@ -166,22 +129,16 @@ proptest! {
         k in 1usize..=8,
         n in 1usize..=8,
         seed in 0u64..300,
-        kind in 0u8..3,
     ) {
         let a = small_matrix(m, k, seed);
         let b = small_matrix(k, n, seed + 13);
-        let plan = plan_of(seed, kind, None);
         let wd = Watchdog::default_budget();
-        let mut inj_a = FaultInjector::new(plan);
-        let mut inj_b = FaultInjector::new(plan);
         let mut tr_a = Tracer::enabled();
         let mut tr_b = Tracer::enabled();
-        let got = simulate_os_matmul_traced(&a, &b, &mut inj_a, wd, &mut tr_a);
-        let want =
-            systolic::reference::simulate_os_matmul_traced(&a, &b, &mut inj_b, wd, &mut tr_b);
+        let got = simulate_os_matmul_traced(&a, &b, wd, &mut tr_a);
+        let want = systolic::reference::simulate_os_matmul_traced(&a, &b, wd, &mut tr_b);
         prop_assert_eq!(got, want);
         assert_traces_identical(&tr_a, &tr_b);
-        prop_assert_eq!(inj_a.counts, inj_b.counts);
     }
 
     /// Mergers: event-queue critical-lane selection and engine-advance
@@ -255,12 +212,8 @@ proptest! {
         slots in 1usize..=16,
         seed in 0u64..200,
         drop in 0u8..=3,
-        dup in 0u8..=3,
     ) {
-        let mut plan = FaultPlan::none();
-        plan.seed = seed;
-        plan.dma_drop_per_request = f64::from(drop) * 0.1;
-        plan.dma_duplicate_per_request = f64::from(dup) * 0.1;
+        let plan = FaultPlan { seed, dma_drop_per_request: f64::from(drop) * 0.1 };
         let dma_model = DmaModel::with_slots(slots);
         let wd = Watchdog::default_budget();
         let policy = RetryPolicy::exponential();
@@ -275,7 +228,7 @@ proptest! {
             dma::reference::reliable_scattered_cycles(
                 &dma_model, reqs, words_each, &policy, &mut inj_b, &wd)
         );
-        prop_assert_eq!(inj_a.counts, inj_b.counts);
+        prop_assert_eq!(inj_a.dropped, inj_b.dropped);
     }
 
     /// L2 cache: the flat tag store vs the HashMap-of-Vec reference, per
@@ -295,38 +248,6 @@ proptest! {
         prop_assert_eq!(flat.misses(), hash.misses());
         prop_assert_eq!(flat.breakdown(), hash.breakdown());
     }
-}
-
-/// The deadlock path (stuck lane owning rows, no balancing) must produce
-/// identical `Deadlock` errors — variant, cycle, and detail bytes.
-#[test]
-fn sparse_deadlock_is_byte_identical() {
-    let b = gen::uniform(12, 64, 0.3, 9);
-    let params = SparseArrayParams {
-        lanes: 4,
-        row_startup_cycles: 1,
-        balance: BalancePolicy::None,
-    };
-    let mut plan = FaultPlan::none();
-    plan.stuck_lane = Some(1);
-    let wd = Watchdog::default_budget();
-    let got = simulate_sparse_matmul_traced(
-        &b,
-        &params,
-        &mut FaultInjector::new(plan),
-        wd,
-        &mut Tracer::disabled(),
-    )
-    .map(|(r, _)| r);
-    let want = sparse::reference::simulate_sparse_matmul_traced(
-        &b,
-        &params,
-        &mut FaultInjector::new(plan),
-        wd,
-        &mut Tracer::disabled(),
-    );
-    assert!(got.is_err(), "a stuck lane with no balancing must deadlock");
-    assert_eq!(got, want);
 }
 
 /// The e04-scale workloads (the sweep the speedup criterion is measured
@@ -353,21 +274,8 @@ fn e04_scale_workloads_are_byte_identical() {
             let wd = Watchdog::default_budget();
             let mut tr_a = Tracer::enabled();
             let mut tr_b = Tracer::enabled();
-            let got = simulate_sparse_matmul_traced(
-                b,
-                &params,
-                &mut FaultInjector::new(FaultPlan::none()),
-                wd,
-                &mut tr_a,
-            )
-            .map(|(r, _)| r);
-            let want = sparse::reference::simulate_sparse_matmul_traced(
-                b,
-                &params,
-                &mut FaultInjector::new(FaultPlan::none()),
-                wd,
-                &mut tr_b,
-            );
+            let got = simulate_sparse_matmul_traced(b, &params, wd, &mut tr_a).map(|(r, _)| r);
+            let want = sparse::reference::simulate_sparse_matmul_traced(b, &params, wd, &mut tr_b);
             assert_eq!(got, want, "workload {w}, {policy:?}");
             assert_traces_identical(&tr_a, &tr_b);
         }
@@ -385,18 +293,11 @@ fn degenerate_shapes_are_identical() {
     };
     let wd = Watchdog::default_budget();
     assert_eq!(
-        simulate_sparse_matmul_traced(
-            &empty,
-            &params,
-            &mut FaultInjector::new(FaultPlan::none()),
-            wd,
-            &mut Tracer::disabled(),
-        )
-        .map(|(r, _)| r),
+        simulate_sparse_matmul_traced(&empty, &params, wd, &mut Tracer::disabled(),)
+            .map(|(r, _)| r),
         sparse::reference::simulate_sparse_matmul_traced(
             &empty,
             &params,
-            &mut FaultInjector::new(FaultPlan::none()),
             wd,
             &mut Tracer::disabled(),
         ),
@@ -404,15 +305,8 @@ fn degenerate_shapes_are_identical() {
     // Mismatched systolic shapes: identical InvalidConfig bytes.
     let a = small_matrix(3, 4, 1);
     let b = small_matrix(5, 2, 2);
-    let mut inj = FaultInjector::new(FaultPlan::none());
     assert_eq!(
-        simulate_ws_matmul_traced(&a, &b, &mut inj, wd, &mut Tracer::disabled()),
-        systolic::reference::simulate_ws_matmul_traced(
-            &a,
-            &b,
-            &mut inj,
-            wd,
-            &mut Tracer::disabled()
-        ),
+        simulate_ws_matmul_traced(&a, &b, wd, &mut Tracer::disabled()),
+        systolic::reference::simulate_ws_matmul_traced(&a, &b, wd, &mut Tracer::disabled()),
     );
 }

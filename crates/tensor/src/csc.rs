@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{transposed_arrays, CsrMatrix};
 use crate::dense::DenseMatrix;
 
 /// A compressed-sparse-column matrix.
@@ -59,7 +59,8 @@ impl CscMatrix {
     /// Builds from a CSR matrix by a counting transpose in O(nnz + cols)
     /// (explicit zeros dropped, as [`CscMatrix::from_coo`] drops them).
     pub fn from_csr(csr: &CsrMatrix) -> CscMatrix {
-        let (col_ptr, row_idx, values) = csr.transposed_arrays();
+        let (col_ptr, row_idx, values) =
+            transposed_arrays(csr.cols(), csr.row_ptr(), csr.col_idx(), csr.values());
         CscMatrix {
             rows: csr.rows(),
             cols: csr.cols(),
@@ -111,6 +112,16 @@ impl CscMatrix {
         &self.col_ptr
     }
 
+    /// The raw `row_idx` array.
+    pub fn row_idx(&self) -> &[usize] {
+        &self.row_idx
+    }
+
+    /// The raw `values` array.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Expands to a dense matrix.
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.rows, self.cols);
@@ -123,16 +134,12 @@ impl CscMatrix {
         d
     }
 
-    /// Converts to CSR.
+    /// Converts to CSR by the same counting transpose as
+    /// [`CscMatrix::from_csr`], in O(nnz + rows).
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.rows, self.cols);
-        for c in 0..self.cols {
-            let (rows, vals) = self.col(c);
-            for (&r, &v) in rows.iter().zip(vals) {
-                coo.push(r, c, v);
-            }
-        }
-        CsrMatrix::from_coo(&coo)
+        let (row_ptr, col_idx, values) =
+            transposed_arrays(self.rows, &self.col_ptr, &self.row_idx, &self.values);
+        CsrMatrix::from_raw(self.rows, self.cols, row_ptr, col_idx, values)
     }
 }
 
@@ -185,7 +192,16 @@ mod tests {
         let csc = CscMatrix::from_csr(&csr);
         assert_eq!(csc, CscMatrix::from_coo(&csr.to_coo()));
         assert_eq!(csc.col_ptr(), &[0, 1, 2, 2, 4]);
+        assert_eq!(csc.row_idx(), &[0, 2, 0, 2]);
+        assert_eq!(csc.values(), &[1.5, 4.0, -2.0, 5.0]);
         assert_eq!(csc.col(1), (&[2][..], &[4.0][..]));
+        // The round trip back drops the explicit zeros and lands on the
+        // COO route's CSR.
+        let back = csc.to_csr();
+        assert_eq!(back, CsrMatrix::from_coo(&csr.to_coo()));
+        assert_eq!(back.row_ptr(), &[0, 2, 2, 4]);
+        assert_eq!(back.col_idx(), &[0, 3, 1, 3]);
+        assert_eq!(back.values(), &[1.5, -2.0, 4.0, 5.0]);
     }
 
     #[test]

@@ -210,7 +210,8 @@ impl CsrMatrix {
     /// The transpose (equivalently: reinterprets this CSR as CSC of Aᵀ).
     /// Explicit zeros are dropped, as [`CsrMatrix::from_coo`] drops them.
     pub fn transpose(&self) -> CsrMatrix {
-        let (row_ptr, col_idx, values) = self.transposed_arrays();
+        let (row_ptr, col_idx, values) =
+            transposed_arrays(self.cols, &self.row_ptr, &self.col_idx, &self.values);
         CsrMatrix {
             rows: self.cols,
             cols: self.rows,
@@ -218,41 +219,6 @@ impl CsrMatrix {
             col_idx,
             values,
         }
-    }
-
-    /// The `(ptr, idx, values)` arrays of the transpose, by a counting
-    /// transpose in O(nnz + cols): count each column's non-zeros, prefix-sum
-    /// the counts into column starts, then scatter the rows in ascending
-    /// order, so every column's row indices come out sorted. Explicit zeros
-    /// (`0.0` and `-0.0`) are skipped, which is what a COO round trip's
-    /// `compact` does. Shared by [`CsrMatrix::transpose`] and
-    /// [`CscMatrix::from_csr`](crate::CscMatrix::from_csr).
-    pub(crate) fn transposed_arrays(&self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        let mut ptr = vec![0usize; self.cols + 1];
-        for (&c, &v) in self.col_idx.iter().zip(&self.values) {
-            if v != 0.0 {
-                ptr[c + 1] += 1;
-            }
-        }
-        for c in 0..self.cols {
-            ptr[c + 1] += ptr[c];
-        }
-        let nnz = ptr[self.cols];
-        let mut next = ptr[..self.cols].to_vec();
-        let mut idx = vec![0usize; nnz];
-        let mut values = vec![0.0; nnz];
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if v != 0.0 {
-                    let slot = next[c];
-                    next[c] += 1;
-                    idx[slot] = r;
-                    values[slot] = v;
-                }
-            }
-        }
-        (ptr, idx, values)
     }
 
     /// Sparse matrix × dense vector.
@@ -283,6 +249,47 @@ impl CsrMatrix {
         let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
         (min, max, mean)
     }
+}
+
+/// The `(ptr, idx, values)` arrays of the transpose of a compressed matrix
+/// given as `ptr`/`idx`/`values` with `inner` columns, by a counting
+/// transpose in O(nnz + inner): count each column's non-zeros, prefix-sum
+/// the counts into column starts, then scatter the rows in ascending order,
+/// so every column's row indices come out sorted. Explicit zeros (`0.0` and
+/// `-0.0`) are skipped, which is what a COO round trip's `compact` does.
+/// Read as CSR, the result is the CSC of the input and vice versa, so
+/// [`CsrMatrix::transpose`], [`CscMatrix::from_csr`](crate::CscMatrix::from_csr)
+/// and [`CscMatrix::to_csr`](crate::CscMatrix::to_csr) all share it.
+pub(crate) fn transposed_arrays(
+    inner: usize,
+    ptr: &[usize],
+    idx: &[usize],
+    values: &[f64],
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut out_ptr = vec![0usize; inner + 1];
+    for (&c, &v) in idx.iter().zip(values) {
+        if v != 0.0 {
+            out_ptr[c + 1] += 1;
+        }
+    }
+    for c in 0..inner {
+        out_ptr[c + 1] += out_ptr[c];
+    }
+    let nnz = out_ptr[inner];
+    let mut next = out_ptr[..inner].to_vec();
+    let mut out_idx = vec![0usize; nnz];
+    let mut out_values = vec![0.0; nnz];
+    for (r, span) in ptr.windows(2).enumerate() {
+        for (&c, &v) in idx[span[0]..span[1]].iter().zip(&values[span[0]..span[1]]) {
+            if v != 0.0 {
+                let slot = next[c];
+                next[c] += 1;
+                out_idx[slot] = r;
+                out_values[slot] = v;
+            }
+        }
+    }
+    (out_ptr, out_idx, out_values)
 }
 
 impl fmt::Debug for CsrMatrix {

@@ -18,7 +18,7 @@
 //! * [`gen`] — random sparse matrix generators (uniform, banded, power-law,
 //!   diagonal) used to synthesize SuiteSparse-like workloads.
 //! * [`rng`] — the in-tree deterministic PRNG behind every random choice in
-//!   the workspace (workload generation, fault injection).
+//!   the workspace (workload generation, DMA response loss).
 //! * [`ops`] — reference dense/sparse kernels (Gustavson SpGEMM,
 //!   outer-product SpGEMM with partial-matrix merging) that serve as golden
 //!   models for the simulated accelerators.

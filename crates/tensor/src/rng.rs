@@ -73,12 +73,6 @@ impl Rng64 {
             self.unit_f64() < p
         }
     }
-
-    /// A uniform bit position in `[0, bits)` — convenience for bit-flip
-    /// fault injection.
-    pub fn bit_index(&mut self, bits: u32) -> u32 {
-        self.below(bits.max(1) as u64) as u32
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +116,6 @@ mod tests {
             assert!(r.range_usize(3, 9) < 9);
             assert!(r.range_usize(3, 9) >= 3);
             assert!(r.below(17) < 17);
-            assert!(r.bit_index(64) < 64);
         }
     }
 
