@@ -4,7 +4,6 @@
 //! matrices, and shows the Figure 10 hardware trade-off: per-PE balancing
 //! prunes more connections (more regfile ports) than row-group balancing.
 
-use rayon::prelude::*;
 use stellar_bench::{pct, table, Report};
 use stellar_core::prelude::*;
 use stellar_core::IndexId;
@@ -39,30 +38,28 @@ fn main() -> Result<(), CompileError> {
         ("global", BalancePolicy::Global),
     ];
     let tracing = report.tracer().is_enabled();
-    let grid: Vec<_> = (0..workloads.len() * policies.len())
-        .into_par_iter()
-        .map(|point| {
-            let (w, p) = (point / policies.len(), point % policies.len());
-            let mut tracer = if tracing {
-                Tracer::with_capacity(DEFAULT_TRACE_CAPACITY)
-            } else {
-                Tracer::disabled()
-            };
-            let r = simulate_sparse_matmul_traced(
-                &workloads[w].1,
-                &SparseArrayParams {
-                    lanes: 8,
-                    row_startup_cycles: 1,
-                    balance: policies[p].1,
-                },
-                Watchdog::default_budget(),
-                &mut tracer,
-            )
-            .expect("sparse simulation")
-            .0;
-            (r, tracer)
-        })
-        .collect();
+    let (grid, _) = rayon::par_map(workloads.len() * policies.len(), 0, |point| {
+        let (w, p) = (point / policies.len(), point % policies.len());
+        let mut tracer = if tracing {
+            Tracer::with_capacity(DEFAULT_TRACE_CAPACITY)
+        } else {
+            Tracer::disabled()
+        };
+        let r = simulate_sparse_matmul_traced(
+            &workloads[w].1,
+            &SparseArrayParams {
+                lanes: 8,
+                row_startup_cycles: 1,
+                balance: policies[p].1,
+            },
+            Watchdog::default_budget(),
+            &mut tracer,
+        )
+        .expect("sparse simulation")
+        .0;
+        (r, tracer)
+    })
+    .expect("a sweep point panicked");
     let mut rows = Vec::new();
     for (w, (name, _)) in workloads.iter().enumerate() {
         let mut row = vec![name.to_string()];

@@ -6,7 +6,6 @@
 //! trade-off curve (throughput saturates once pointer latency is covered,
 //! while area keeps growing).
 
-use rayon::prelude::*;
 use stellar_accels::{outerspace_throughput, OuterSpaceConfig};
 use stellar_area::{area::dma_area_um2, Technology};
 use stellar_bench::{table, Report};
@@ -33,15 +32,13 @@ fn main() {
         dma: DmaModel::with_slots(slots),
         ..OuterSpaceConfig::stellar_default()
     });
-    let grid: Vec<Vec<f64>> = (0..mats.len())
-        .into_par_iter()
-        .map(|n| {
-            outerspace_throughput(&mats[n], &cfgs, 300 + n as u64)
-                .iter()
-                .map(|r| r.gflops)
-                .collect()
-        })
-        .collect();
+    let (grid, _) = rayon::par_map(mats.len(), 0, |n| {
+        outerspace_throughput(&mats[n], &cfgs, 300 + n as u64)
+            .iter()
+            .map(|r| r.gflops)
+            .collect::<Vec<f64>>()
+    })
+    .expect("a sweep matrix panicked");
 
     let mut rows = Vec::new();
     let mut prev_gflops = 0.0;

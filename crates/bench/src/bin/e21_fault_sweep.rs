@@ -75,23 +75,18 @@ fn dma_sweep(out: &mut String) -> CycleBreakdown {
                     Err(_) => wedged += 1,
                 }
             }
-            let avg = if done > 0 {
-                done_cycles as f64 / done as f64
-            } else {
-                f64::NAN
-            };
-            let avg_recovery = if done > 0 {
-                recovery_cycles as f64 / done as f64
-            } else {
-                f64::NAN
+            // A cell with no completed trial has no average: `-`.
+            let avg = |total: u64, decimals: usize| match done {
+                0 => "-".to_string(),
+                _ => format!("{:.decimals$}", total as f64 / done as f64),
             };
             writeln!(
                 out,
-                "{:>10} {:>8} | {:>10.0} {:>12.1} {:>5.0}%",
+                "{:>10} {:>8} | {:>10} {:>12} {:>5.0}%",
                 format!("{drop:.2}"),
                 pname,
-                avg,
-                avg_recovery,
+                avg(done_cycles, 0),
+                avg(recovery_cycles, 1),
                 100.0 * wedged as f64 / TRIALS as f64,
             )
             .unwrap();
@@ -99,7 +94,11 @@ fn dma_sweep(out: &mut String) -> CycleBreakdown {
             // cycles, and the breakdown attributes zero recovery cycles,
             // whatever retry capability is available.
             if drop == 0.0 {
-                assert_eq!(avg, base as f64, "loss-free run must match baseline");
+                assert_eq!(
+                    done_cycles,
+                    base * done,
+                    "loss-free run must match baseline"
+                );
                 assert_eq!(recovery_cycles, 0, "loss-free run charged recovery");
                 assert_eq!(wedged, 0);
             }
@@ -129,6 +128,7 @@ fn main() {
     // Acceptance: the same plans produce a byte-identical report and
     // identical cycle attribution.
     assert_eq!(text, again_text, "loss sweep report must be deterministic");
+    assert!(!text.contains("NaN"), "loss sweep report printed NaN");
     assert_eq!(
         dma_recovery, again_recovery,
         "cycle attribution must be deterministic"

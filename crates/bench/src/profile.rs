@@ -35,7 +35,7 @@ use stellar_tensor::{gen, CsrMatrix};
 
 /// The profile report schema identifier. Bump only with a corresponding
 /// update to the CI jq checks and DESIGN.md's profiling section.
-pub const PROFILE_SCHEMA: &str = "stellar-profile-v2";
+pub const PROFILE_SCHEMA: &str = "stellar-profile-v3";
 
 /// What to profile.
 #[derive(Clone, Debug)]
@@ -163,7 +163,7 @@ pub fn run_profile(opts: &ProfileOptions) -> ProfileReport {
     }
 }
 
-/// Renders the report as the `stellar-profile-v2` JSON payload (callers
+/// Renders the report as the `stellar-profile-v3` JSON payload (callers
 /// seal it into an envelope via [`crate::durable::write_envelope`]).
 /// Every float goes through [`json_f64`], so the document never contains
 /// NaN or Inf.
@@ -186,19 +186,15 @@ pub fn render_profile_json(r: &ProfileReport) -> String {
         "    \"worker_utilization\": {},",
         json_f64(r.workers.utilization())
     );
-    let _ = writeln!(s, "    \"total_steals\": {},", r.workers.total_steals());
     s.push_str("    \"workers\": [\n");
     for (n, w) in r.workers.workers.iter().enumerate() {
         let _ = write!(
             s,
-            "      {{\"busy_ms\": {}, \"idle_ms\": {}, \"wall_ms\": {}, \"chunks\": {}, \
-             \"items\": {}, \"steals\": {}}}",
+            "      {{\"busy_ms\": {}, \"idle_ms\": {}, \"wall_ms\": {}, \"items\": {}}}",
             json_f64(w.busy_ms),
             json_f64(w.idle_ms()),
             json_f64(w.wall_ms),
-            w.chunks,
             w.items,
-            w.steals,
         );
         s.push_str(if n + 1 < r.workers.workers.len() {
             ",\n"
@@ -305,7 +301,7 @@ mod tests {
         assert!(r.engine.jump_cycles.count > 0);
         let json = render_profile_json(&r);
         // Schema, and no NaN/Inf leaves anywhere.
-        assert!(json.contains("\"schema\": \"stellar-profile-v2\""));
+        assert!(json.contains("\"schema\": \"stellar-profile-v3\""));
         assert!(json.ends_with("\"failures\": []\n}"));
         assert!(json.contains("\"analytic_scored\""));
         assert!(json.contains("\"analytic_rejected\""));

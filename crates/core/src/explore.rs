@@ -8,11 +8,14 @@
 //! for every recurrence, collision-free over the bounds), and scores them
 //! by the structure of the array they produce.
 //!
-//! The enumeration is sharded into runs of whole time-row blocks (below)
-//! for rayon workers ([`ExploreOptions::parallelism`]), merged **in code
-//! order** under a global dedup set, so every structure's survivor is its
-//! lowest-code candidate and the ranking is byte-identical to the serial
-//! path's.
+//! The enumeration is sharded into runs of whole time-row blocks (below),
+//! sized by the work a block costs: its direction records when the
+//! kernel-class table decides it, else its candidates. A search too small
+//! to repay a fan-out is one shard on the calling thread; a larger one is
+//! mapped by [`rayon::par_map`] on [`ExploreOptions::parallelism`]
+//! workers. Shards merge **in code order** under a global dedup set, so
+//! every structure's survivor is its lowest-code candidate and the
+//! ranking is byte-identical to the serial path's.
 //!
 //! Candidates are decided on a fidelity ladder (cheapest exact tier first,
 //! every tier producing bit-identical summaries):
@@ -49,7 +52,6 @@ use std::collections::HashSet;
 use std::ops::Range;
 use std::time::Instant;
 
-use rayon::prelude::*;
 use rayon::PoolStats;
 use stellar_linalg::IntMat;
 
@@ -145,9 +147,11 @@ pub struct ExploreOptions {
     pub keep: usize,
     /// Worker parallelism: `0` shards across all available cores, `1`
     /// scans on the calling thread, and `n ≥ 2` shards for `n` workers and
-    /// runs exactly `n` pool workers (the caller plus `n − 1` spawned
-    /// threads, oversubscribing the machine if it has fewer cores). Every
-    /// setting produces a byte-identical ranking and [`ExploreFunnel`].
+    /// runs `min(n, shards)` of them (the caller plus spawned threads,
+    /// oversubscribing the machine if it has fewer cores). A search with
+    /// too little work to shard runs on the calling thread whatever the
+    /// setting. Every setting produces a byte-identical ranking and
+    /// [`ExploreFunnel`].
     pub parallelism: usize,
     /// Score candidates through the closed-form analytical tier
     /// ([`crate::analytic`]) where the iteration space's geometry allows,
@@ -450,9 +454,10 @@ pub struct ExploreRun {
     /// the partitions of [`ExploreFunnel::check`]; byte-identical across
     /// serial and parallel runs of the same search.
     pub funnel: ExploreFunnel,
-    /// Worker telemetry for the scan. Items are shards of whole time-row
-    /// blocks, which the class path decides without visiting their
-    /// candidates — not candidates (the serial path reports one item).
+    /// Worker telemetry for the scan, one entry per worker of the
+    /// [`rayon::par_map`] that ran it. Items are shards of whole time-row
+    /// blocks, not candidates: a search run as one shard reports one
+    /// worker with one item.
     pub workers: PoolStats,
 }
 
@@ -526,24 +531,28 @@ pub fn explore_dataflows_profiled(
         0 => rayon::current_num_threads(),
         n => n,
     };
-    // Shards below this many candidates cost more to fan out than to scan.
+    // Shards below this much work cost more to fan out than to scan.
     const MIN_SHARD: usize = 4096;
-    // One shard for a serial or small search (the pool's serial path),
+    // A block's work: the direction records the kernel-class table walks
+    // for it, else its candidates.
+    let block_work = ctx.table.as_ref().map_or(block, |t| t.dirs.len().max(1));
+    // One shard for a serial or small search (run on the calling thread),
     // else several per worker, in whole time-row blocks, so an expensive
     // shard load-balances. Panic isolation turns one bad candidate into
     // `Err(WorkerPanicked)` instead of tearing down the hosting process.
     let n_blocks = total / block;
-    let shard = if workers <= 1 || total <= MIN_SHARD {
+    let work = n_blocks * block_work;
+    let shard = if workers <= 1 || work <= MIN_SHARD {
         n_blocks.max(1)
     } else {
-        total.div_ceil(workers * 8).max(MIN_SHARD).div_ceil(block)
+        work.div_ceil(workers * 8)
+            .max(MIN_SHARD)
+            .div_ceil(block_work)
     };
-    let (shards, pool) = (0..n_blocks.div_ceil(shard).max(1))
-        .into_par_iter()
-        .with_max_threads(workers)
-        .map(|s| scan_codes(&ctx, s * shard..((s + 1) * shard).min(n_blocks)))
-        .try_collect_vec()
-        .map_err(|p| CompileError::WorkerPanicked { message: p.message })?;
+    let (shards, pool) = rayon::par_map(n_blocks.div_ceil(shard).max(1), workers, |s| {
+        scan_codes(&ctx, s * shard..((s + 1) * shard).min(n_blocks))
+    })
+    .map_err(|p| CompileError::WorkerPanicked { message: p.message })?;
 
     // Merge shards in code order under a global dedup set: the survivor of
     // every structure is its lowest-code candidate, as in the serial scan.
@@ -870,14 +879,13 @@ mod tests {
                 "parallelism={parallelism} funnel diverged"
             );
             assert_eq!(run.results, serial.results);
-            if parallelism >= 2 {
-                // parallelism n caps the pool at n threads.
-                assert!(
-                    run.workers.worker_count() <= parallelism,
-                    "parallelism={parallelism} ran {} workers",
-                    run.workers.worker_count()
-                );
-            }
+            // 27 time-row blocks of ~26 direction records each are far
+            // below `MIN_SHARD`: one shard, run on the calling thread.
+            assert_eq!(
+                run.workers.worker_count(),
+                1,
+                "parallelism={parallelism} fanned out a tiny search"
+            );
         }
     }
 

@@ -253,12 +253,12 @@ fn steal_heavy_skewed_sweep_is_byte_identical_across_worker_counts() {
     // Adversarial scheduling workload: with the analytical tier off,
     // surviving candidates pay the full space-time fold while rejects are
     // nearly free, so per-shard cost is pathologically skewed and idle
-    // workers must steal from their loaded peers to finish. Explicit
+    // workers claim the shards behind a loaded peer. Explicit
     // `parallelism` runs exactly that many pool workers — over-
-    // subscribing the machine when it has fewer cores — so the deques and
-    // the steal path are genuinely exercised even on a single-core
-    // runner. Rankings and funnels must stay byte-identical to the
-    // serial scan regardless of the resulting steal schedule.
+    // subscribing the machine when it has fewer cores — so the claim
+    // order is genuinely exercised even on a single-core runner. Rankings
+    // and funnels must stay byte-identical to the serial scan whichever
+    // worker ran which shard.
     let f = Functionality::matmul(3, 3, 3);
     let bounds = Bounds::from_extents(&[3, 3, 3]);
     let opts = |parallelism: usize| ExploreOptions {
@@ -277,19 +277,15 @@ fn steal_heavy_skewed_sweep_is_byte_identical_across_worker_counts() {
             parallelism,
             "parallelism={parallelism} did not spawn the requested workers"
         );
-        assert!(
-            run.workers.total_steals() <= run.workers.total_chunks(),
-            "parallelism={parallelism} reported more steals than chunks"
-        );
         assert_eq!(
             byte_image(&run.results),
             ranking,
-            "parallelism={parallelism} ranking diverged under stealing"
+            "parallelism={parallelism} ranking diverged"
         );
         assert_eq!(
             format!("{:?}", run.funnel),
             funnel,
-            "parallelism={parallelism} funnel diverged under stealing"
+            "parallelism={parallelism} funnel diverged"
         );
     }
 }

@@ -35,17 +35,15 @@ fn traced_ws_run(seed: u64) -> (String, String, CycleBreakdown) {
 
 #[test]
 fn steal_heavy_traced_sweep_is_byte_identical_across_worker_counts() {
-    // A pathologically skewed traced sweep through the work-stealing
-    // pool: the first grid point is a large simulation and the tail is
-    // sixteen tiny ones, each item a full traced run on its own seeded
-    // operands. The worker that draws the big point stays pinned on it while
-    // the others finish instantly and steal the rest of its deque — and
-    // the merged trace exports must still be byte-identical to the
-    // sequential sweep at every worker count, because collection is
-    // order-preserving and each point's tracer state is local.
-    // `with_max_threads` spawns the requested workers even past the
+    // A pathologically skewed traced sweep through the pool: the first
+    // grid point is a large simulation and the tail is sixteen tiny ones,
+    // each item a full traced run on its own seeded operands. The caller
+    // takes the big point and stays pinned on it while the other workers
+    // claim the tail — and the merged trace exports must still be
+    // byte-identical to the sequential sweep at every worker count,
+    // because results merge in index order and each point's tracer state
+    // is local. `par_map` spawns the requested workers even past the
     // machine parallelism, so this holds on single-core runners too.
-    use rayon::prelude::*;
 
     let points: Vec<(u64, (usize, usize, usize))> = std::iter::once((7u64, (24, 12, 16)))
         .chain((0..16u64).map(|i| (100 + i, (5, 3, 4))))
@@ -65,12 +63,7 @@ fn steal_heavy_traced_sweep_is_byte_identical_across_worker_counts() {
     };
     let sequential: String = points.iter().map(run_point).collect();
     for threads in [1usize, 2, 4, 8] {
-        let merged = points
-            .par_iter()
-            .with_min_len(1)
-            .with_max_threads(threads)
-            .map(run_point)
-            .try_collect_vec()
+        let merged = rayon::par_map(points.len(), threads, |i| run_point(&points[i]))
             .expect("traced sweep must not panic")
             .0
             .concat();

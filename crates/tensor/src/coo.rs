@@ -79,15 +79,16 @@ impl CooMatrix {
     /// Sorts entries row-major, sums duplicates, and drops explicit zeros.
     pub fn compact(&mut self) {
         self.entries.sort_by_key(|a| (a.0, a.1));
-        let mut out: Vec<(usize, usize, f64)> = Vec::with_capacity(self.entries.len());
-        for &(r, c, v) in &self.entries {
-            match out.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => out.push((r, c, v)),
+        // `dedup_by` hands each entry with the last one kept, so duplicates
+        // sum in push order.
+        self.entries.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
             }
-        }
-        out.retain(|e| e.2 != 0.0);
-        self.entries = out;
+            same
+        });
+        self.entries.retain(|e| e.2 != 0.0);
     }
 
     /// Builds from a dense matrix, keeping the non-zero entries.

@@ -46,7 +46,7 @@ impl CscMatrix {
         for (r, c, v) in coo.iter() {
             t.push(c, r, v);
         }
-        let csr_t = CsrMatrix::from_coo(&t);
+        let csr_t = CsrMatrix::from_coo(t);
         CscMatrix {
             rows: coo.rows(),
             cols: coo.cols(),
@@ -198,7 +198,7 @@ mod tests {
         // The round trip back drops the explicit zeros and lands on the
         // COO route's CSR.
         let back = csc.to_csr();
-        assert_eq!(back, CsrMatrix::from_coo(&csr.to_coo()));
+        assert_eq!(back, CsrMatrix::from_coo(csr.to_coo()));
         assert_eq!(back.row_ptr(), &[0, 2, 2, 4]);
         assert_eq!(back.col_idx(), &[0, 3, 1, 3]);
         assert_eq!(back.values(), &[1.5, -2.0, 4.0, 5.0]);

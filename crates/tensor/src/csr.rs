@@ -81,17 +81,17 @@ impl CsrMatrix {
 
     /// Builds from a dense matrix.
     pub fn from_dense(d: &DenseMatrix) -> CsrMatrix {
-        CsrMatrix::from_coo(&CooMatrix::from_dense(d))
+        CsrMatrix::from_coo(CooMatrix::from_dense(d))
     }
 
-    /// Builds from a COO matrix (duplicates summed, zeros dropped).
-    pub fn from_coo(coo: &CooMatrix) -> CsrMatrix {
-        let mut c = coo.clone();
-        c.compact();
+    /// Builds from a COO matrix (duplicates summed, zeros dropped),
+    /// compacting its entries in place.
+    pub fn from_coo(mut coo: CooMatrix) -> CsrMatrix {
+        coo.compact();
         let mut row_ptr = vec![0usize; coo.rows() + 1];
-        let mut col_idx = Vec::with_capacity(c.nnz());
-        let mut values = Vec::with_capacity(c.nnz());
-        for (r, col, v) in c.iter() {
+        let mut col_idx = Vec::with_capacity(coo.nnz());
+        let mut values = Vec::with_capacity(coo.nnz());
+        for (r, col, v) in coo.iter() {
             row_ptr[r + 1] += 1;
             col_idx.push(col);
             values.push(v);
@@ -344,7 +344,7 @@ mod tests {
                 coo.push(c, r, v);
             }
         }
-        CsrMatrix::from_coo(&coo)
+        CsrMatrix::from_coo(coo)
     }
 
     /// Raw CSR arrays for a `rows × cols` matrix: each slot is stored with
@@ -397,7 +397,7 @@ mod tests {
             };
             proptest::prop_assert_eq!(bits(&got), bits(&want));
             proptest::prop_assert!(got.values().iter().all(|&v| v != 0.0));
-            proptest::prop_assert_eq!(got.transpose(), CsrMatrix::from_coo(&m.to_coo()));
+            proptest::prop_assert_eq!(got.transpose(), CsrMatrix::from_coo(m.to_coo()));
         }
     }
 

@@ -59,7 +59,7 @@ pub fn uniform(rows: usize, cols: usize, density: f64, seed: u64) -> CsrMatrix {
             }
         }
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_coo(coo)
 }
 
 /// A uniformly random sparse matrix with an exact non-zero count.
@@ -83,7 +83,7 @@ pub fn uniform_nnz(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatrix
             coo.push(i, j, nonzero_value(&mut r));
         }
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_coo(coo)
 }
 
 /// A banded matrix in the style of FEM/PDE discretizations (e.g.
@@ -103,7 +103,7 @@ pub fn banded(n: usize, bandwidth: usize, avg_row_len: usize, seed: u64) -> CsrM
             coo.push(i, j, nonzero_value(&mut r));
         }
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_coo(coo)
 }
 
 /// A matrix with power-law distributed row lengths (web/social graphs such
@@ -132,7 +132,7 @@ pub fn power_law(rows: usize, cols: usize, avg_row_len: f64, alpha: f64, seed: u
             }
         }
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_coo(coo)
 }
 
 /// A square diagonal matrix (`Skip i and k when i != k`, Listing 2 line 5).
@@ -142,7 +142,7 @@ pub fn diagonal(n: usize, seed: u64) -> CsrMatrix {
     for i in 0..n {
         coo.push(i, i, nonzero_value(&mut r));
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_coo(coo)
 }
 
 /// A matrix with deliberately imbalanced row lengths: `heavy_rows` rows get
@@ -168,7 +168,7 @@ pub fn imbalanced(
             }
         }
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_coo(coo)
 }
 
 /// A dense matrix whose rows satisfy the 2:4 structured-sparsity pattern,

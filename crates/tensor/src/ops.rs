@@ -44,7 +44,7 @@ pub fn spgemm_gustavson(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
         }
         touched.clear();
     }
-    CsrMatrix::from_coo(&out)
+    CsrMatrix::from_coo(out)
 }
 
 /// One partial matrix of an outer-product SpGEMM: the rank-1 product of
@@ -108,7 +108,7 @@ pub fn merge_partials(rows: usize, cols: usize, partials: &[PartialMatrix]) -> C
             all.push(r, c, v);
         }
     }
-    CsrMatrix::from_coo(&all)
+    CsrMatrix::from_coo(all)
 }
 
 /// Full outer-product SpGEMM (multiply + merge).

@@ -84,7 +84,7 @@ impl SuiteMatrix {
                 for (r, c, v) in heavy.to_coo().iter() {
                     coo.push(r, c, v);
                 }
-                CsrMatrix::from_coo(&coo)
+                CsrMatrix::from_coo(coo)
             }
         }
     }
