@@ -3,13 +3,15 @@
 //! `out/e*.json` reports into one schema-stable `out/metrics.json` with
 //! harness self-profiling.
 //!
-//! `run_all -j N` schedules up to `N` experiment processes concurrently
-//! (they are independent); each child's output is captured and replayed
-//! as one contiguous block, and the consolidated metrics are identical in
-//! shape to a serial run. `run_all --trace` additionally sets
-//! `STELLAR_TRACE=1` for every child, so experiments with traced
-//! simulations (e.g. E4) dump Chrome `trace_event` JSON files loadable in
-//! Perfetto / `chrome://tracing`.
+//! Each experiment runs in its own process: the scheduler launches
+//! `run_all --child NAME`, which runs that one experiment of
+//! [`stellar_bench::experiments::ALL`] and exits. `run_all -j N` schedules
+//! up to `N` such processes concurrently (they are independent); each
+//! child's output is captured and replayed as one contiguous block, and
+//! the consolidated metrics are identical in shape to a serial run.
+//! `run_all --trace` additionally sets `STELLAR_TRACE=1` for every child,
+//! so experiments with traced simulations (e.g. E4) dump Chrome
+//! `trace_event` JSON files loadable in Perfetto / `chrome://tracing`.
 //!
 //! The scheduler is crash-safe and self-healing (see
 //! [`stellar_bench::harness`]):
@@ -30,10 +32,12 @@
 //! * `--validate` checks every envelope under the out dir and exits
 //!   nonzero on corruption — the CI integrity gate.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use stellar_bench::chaos::ChaosPlan;
 use stellar_bench::durable;
+use stellar_bench::experiments;
 use stellar_bench::harness::{
     self, interrupt, ConsolidateCtx, ExperimentStatus, ScheduleOptions, MANIFEST_FILE, SUMMARY_FILE,
 };
@@ -42,6 +46,7 @@ use stellar_bench::report::out_dir;
 
 const USAGE: &str = "\
 usage: run_all [options]
+       run_all --child NAME   run one experiment in this process
   -j, --jobs N       concurrent experiment processes (default 1)
       --trace        set STELLAR_TRACE=1 for every child
       --resume       skip experiments whose report validates against
@@ -56,7 +61,8 @@ usage: run_all [options]
                      design cache under out/cache (STELLAR_CACHE_DIR for
                      every child); identical queries hit instead of
                      recomputing (off unless given)
-      --exe-dir DIR  directory holding the experiment binaries
+      --exe PATH     launch each experiment as `PATH --child NAME`
+                     (default: this run_all)
       --chaos SPEC   deterministic fault injection, e.g.
                      seed=7,kill=0.3,hang=0.1,corrupt=0.2,first=1
       --fixed-wall-ms MS  pin every wall-clock field (byte-stable output)
@@ -76,11 +82,8 @@ struct Cli {
 
 /// Parses the argument list into a [`Cli`].
 fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let exe_dir = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.to_path_buf()))
-        .ok_or("cannot locate the executable directory")?;
-    let mut opts = ScheduleOptions::suite(String::new(), out_dir(), exe_dir);
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate run_all itself: {e}"))?;
+    let mut opts = ScheduleOptions::suite(String::new(), out_dir(), exe);
     let mut resume = false;
     let mut requested_nonce = None;
     let mut validate = false;
@@ -99,14 +102,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--resume" => resume = true,
             "--validate" => validate = true,
             "--profile" => profile = true,
-            "-j" | "--jobs" => {
-                let v = take(a)?;
-                opts.jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("invalid worker count {v:?}"))?;
-            }
+            "-j" | "--jobs" => opts.jobs = parse_jobs(&take(a)?)?,
             "--timeout" => {
                 let v = take(a)?;
                 let secs: u64 = v.parse().map_err(|_| format!("invalid timeout {v:?}"))?;
@@ -120,7 +116,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--nonce" => requested_nonce = Some(take(a)?),
             "--chaos" => opts.chaos = Some(ChaosPlan::parse(&take(a)?)?),
-            "--exe-dir" => opts.exe_dir = take(a)?.into(),
+            "--exe" => opts.exe = take(a)?.into(),
             "--fixed-wall-ms" => {
                 let v = take(a)?;
                 opts.fixed_wall_ms =
@@ -131,17 +127,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--help" | "-h" => return Err(USAGE.into()),
             other => {
                 if let Some(v) = other.strip_prefix("--jobs=") {
-                    opts.jobs = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("invalid worker count {v:?}"))?;
+                    opts.jobs = parse_jobs(v)?;
                 } else if let Some(v) = other.strip_prefix("-j") {
-                    opts.jobs = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("invalid worker count {v:?}"))?;
+                    opts.jobs = parse_jobs(v)?;
                 } else {
                     return Err(format!("unknown argument {other:?}\n{USAGE}"));
                 }
@@ -160,6 +148,32 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         validate,
         profile,
     })
+}
+
+/// A worker count for `-j N`, `--jobs N`, `--jobs=N` or `-jN`: a whole
+/// number of at least 1.
+fn parse_jobs(v: &str) -> Result<usize, String> {
+    v.parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("invalid worker count {v:?}"))
+}
+
+/// `run_all --child NAME`: runs one experiment, found by id or full name
+/// as `--only` finds it, and exits with its status. No SIGINT handler, no
+/// manifest, no consolidation: the parent scheduler owns those.
+fn run_child(args: &[String]) -> ExitCode {
+    let [name] = args else {
+        eprintln!("run_all: --child expects one experiment name\n{USAGE}");
+        return ExitCode::from(2);
+    };
+    match experiments::find(name) {
+        Some(e) => (e.run)(),
+        None => {
+            eprintln!("run_all: unknown experiment {name:?}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 /// `--validate`: every `*.json` under the out dir that claims to be an
@@ -199,8 +213,11 @@ fn validate_out_dir(dir: &std::path::Path) -> usize {
     invalid
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "--child") {
+        return run_child(&args[1..]);
+    }
     let cli = match parse_args(&args) {
         Ok(c) => c,
         Err(e) => {
@@ -307,5 +324,32 @@ fn main() {
             eprintln!("FAILED {f}");
         }
         std::process::exit(1);
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn jobs(args: &[&str]) -> Result<usize, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|cli| cli.opts.jobs)
+    }
+
+    #[test]
+    fn every_worker_count_spelling_parses_alike() {
+        assert_eq!(jobs(&[]), Ok(1));
+        assert_eq!(jobs(&["-j", "2"]), Ok(2));
+        assert_eq!(jobs(&["--jobs", "3"]), Ok(3));
+        assert_eq!(jobs(&["--jobs=4"]), Ok(4));
+        assert_eq!(jobs(&["-j5"]), Ok(5));
+        for bad in [&["-j", "0"][..], &["--jobs", "0"], &["--jobs=0"], &["-j0"]] {
+            assert_eq!(jobs(bad), Err("invalid worker count \"0\"".to_string()));
+        }
+        for bad in [&["-j", "x"][..], &["--jobs", "x"], &["--jobs=x"], &["-jx"]] {
+            assert_eq!(jobs(bad), Err("invalid worker count \"x\"".to_string()));
+        }
+        assert_eq!(jobs(&["-j"]), Err("-j expects a value".to_string()));
     }
 }

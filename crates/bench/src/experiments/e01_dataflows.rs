@@ -5,10 +5,10 @@
 //! reports the structure of each resulting array and verifies the paper's
 //! claims about which operand stays stationary.
 
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::prelude::*;
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e01",
         "Figure 2 — space-time transforms and their dense matmul arrays",

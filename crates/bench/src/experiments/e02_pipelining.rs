@@ -5,10 +5,10 @@
 //! trading registers (area) against critical path (frequency).
 
 use stellar_area::{array_max_frequency_mhz, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::prelude::*;
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e02",
         "Figure 3 — pipelining strategies via the transform's time row",

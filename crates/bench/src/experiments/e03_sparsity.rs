@@ -6,11 +6,11 @@
 //! (A100 2:4) keeps the wires but widens them into candidate bundles.
 
 use stellar_accels::a100_sparse_spec;
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::prelude::*;
 use stellar_core::IndexId;
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e03",
         "Figures 4/5 — Skip and OptimisticSkip restructure the array",

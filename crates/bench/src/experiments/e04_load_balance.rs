@@ -4,7 +4,7 @@
 //! matrices, and shows the Figure 10 hardware trade-off: per-PE balancing
 //! prunes more connections (more regfile ports) than row-group balancing.
 
-use stellar_bench::{pct, table, Report};
+use crate::{pct, table, Report};
 use stellar_core::prelude::*;
 use stellar_core::IndexId;
 use stellar_sim::{
@@ -13,7 +13,7 @@ use stellar_sim::{
 };
 use stellar_tensor::gen;
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e04",
         "Figures 6/10 — load balancing: utilization and hardware cost",

@@ -2,10 +2,10 @@
 //! Stellar-generated Gemmini accelerators on end-to-end ResNet-50.
 
 use stellar_accels::run_resnet50;
-use stellar_bench::{pct, table, Report};
+use crate::{pct, table, Report};
 use stellar_sim::{CycleBreakdown, GemmParams};
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e05",
         "Figure 16a — Gemmini utilization on ResNet-50 (16x16 WS @ 500 MHz)",

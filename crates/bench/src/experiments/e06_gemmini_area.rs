@@ -8,9 +8,9 @@
 
 use stellar_accels::{gemmini_design, handwritten_gemmini_area};
 use stellar_area::{area_of, max_frequency_mhz, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e06",
         "Table III — area comparison between Gemmini accelerators (ASAP7, 500 MHz)",

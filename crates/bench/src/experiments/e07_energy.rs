@@ -4,10 +4,10 @@
 
 use stellar_accels::{gemmini_design, run_resnet50};
 use stellar_area::{energy_per_mac_pj, EnergyModel, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_sim::GemmParams;
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e07",
         "Figure 17 — energy per MAC on ResNet-50 layers (Intel 22nm)",

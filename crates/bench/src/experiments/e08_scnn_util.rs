@@ -2,9 +2,9 @@
 //! vs Stellar-generated.
 
 use stellar_accels::{run_alexnet, ScnnConfig};
-use stellar_bench::{pct, table, Report};
+use crate::{pct, table, Report};
 
-fn main() {
+pub fn run() {
     let mut report = Report::new("e08", "Figure 15 — SCNN PE utilization on pruned AlexNet");
 
     let hand = run_alexnet(&ScnnConfig::handwritten());

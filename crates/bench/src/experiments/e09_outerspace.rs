@@ -3,10 +3,10 @@
 //! DMA fix, against the hand-written design.
 
 use stellar_accels::{outerspace_throughput, OuterSpaceConfig};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_workloads::suite;
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e09",
         "Figure 16b — OuterSPACE throughput on SuiteSparse (GFLOP/s)",

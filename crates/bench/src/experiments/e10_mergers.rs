@@ -3,10 +3,10 @@
 //! merging partial matrices in SpArch's execution order.
 
 use stellar_accels::compare_on_suite_matrix;
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_workloads::suite;
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e10",
         "Figure 18 — merger throughput on SuiteSparse (SpArch execution order)",

@@ -7,9 +7,9 @@
 use stellar_area::{
     flattened_merger_area_um2, merger_area_ratio, row_partitioned_merger_area_um2, Technology,
 };
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e11",
         "§IV-F/§VI-D — merger area: flattened vs row-partitioned",

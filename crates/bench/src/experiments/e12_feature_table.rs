@@ -1,9 +1,9 @@
 //! E12 — Table I: the framework feature comparison, with each Stellar
 //! column entry backed by the module of this reproduction implementing it.
 
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 
-fn main() {
+pub fn run() {
     let mut report = Report::new("e12", "Table I — design-framework feature comparison");
 
     let frameworks = [

@@ -6,12 +6,12 @@
 //! implementations, down to a pure feed-forward shift register.
 
 use stellar_area::{regfile_area_um2, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::memory::EmissionOrder;
 use stellar_core::prelude::*;
 use stellar_core::{choose_regfile, AccessOrder, RegfileDesign};
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e13",
         "Figures 13/14 — regfile optimization passes and their area",

@@ -8,14 +8,14 @@
 
 use stellar_accels::{outerspace_throughput, OuterSpaceConfig};
 use stellar_area::{area::dma_area_um2, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::DmaDesign;
 use stellar_sim::DmaModel;
 use stellar_workloads::suite;
 
 const SLOTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e14",
         "DMA outstanding-request sweep (ablation of the §VI-C fix)",

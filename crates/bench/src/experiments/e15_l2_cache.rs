@@ -6,10 +6,10 @@
 //! the scattered-pointer penalty (E9/E14) an L2 absorbs when the pointer
 //! working set fits, and how it thrashes when it does not.
 
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_sim::{DramParams, L2Cache};
 
-fn main() {
+pub fn run() {
     let mut report = Report::new(
         "e15",
         "§IV-F — shared L2 absorbs scattered pointer reads when they fit",

@@ -9,11 +9,11 @@ use stellar_accels::{
     a100_sparse_spec, gemmini_spec, outerspace_multiply_spec, row_merger_spec, scnn_pe_spec,
 };
 use stellar_area::{area_of, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::prelude::*;
 use stellar_rtl::{emit_accelerator, lint};
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e16",
         "prior-work spatial arrays, regenerated through one language",

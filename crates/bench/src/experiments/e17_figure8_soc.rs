@@ -3,12 +3,12 @@
 //! the DMA and memory system — compiled, emitted, and measured.
 
 use stellar_area::{area_of, Technology};
-use stellar_bench::Report;
+use crate::Report;
 use stellar_core::prelude::*;
 use stellar_core::{compile_soc, DmaDesign, IndexId};
 use stellar_rtl::{emit_accelerator, lint};
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e17",
         "Figure 8 — sparse matmul + merger in one accelerator",

@@ -9,12 +9,12 @@
 
 use stellar_accels::a100_sparse_spec;
 use stellar_area::{area_of, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::prelude::*;
 use stellar_sim::{layer_utilization, CycleBreakdown, GemmParams};
 use stellar_workloads::transformer::{bert_base_layer, is_weight_gemm};
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e18",
         "A100 2:4 structured sparsity on BERT-base (extension of Fig 5)",

@@ -8,7 +8,7 @@
 //! regfiles; with it, shift registers suffice.
 
 use stellar_area::{regfile_area_um2, Technology};
-use stellar_bench::{table, Report};
+use crate::{table, Report};
 use stellar_core::memory::EmissionOrder;
 use stellar_core::prelude::*;
 
@@ -35,7 +35,7 @@ fn build(hardcoded: bool) -> Result<stellar_core::AcceleratorDesign, CompileErro
     compile(&spec)
 }
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new(
         "e19",
         "ablation — what Listing 6's hardcoding buys the regfiles",

@@ -15,12 +15,12 @@
 
 use std::time::Instant;
 
-use stellar_bench::cache::DesignCache;
-use stellar_bench::{durable, report, table, Report};
+use crate::cache::DesignCache;
+use crate::{durable, report, table, Report};
 use stellar_core::prelude::*;
 use stellar_core::{explore_dataflows_profiled, ExploreOptions, ExploreRun};
 
-fn main() -> Result<(), CompileError> {
+pub fn run() -> Result<(), CompileError> {
     let mut report = Report::new("e20", "automated dataflow search over {-1,0,1} transforms");
 
     let func = Functionality::matmul(4, 4, 4);

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use stellar_bench::Report;
+use crate::Report;
 use stellar_sim::{
     CycleBreakdown, DmaModel, FaultInjector, FaultPlan, RetryPolicy, StallClass, Watchdog,
 };
@@ -121,7 +121,7 @@ fn build_report() -> (String, CycleBreakdown) {
     (out, dma_recovery)
 }
 
-fn main() {
+pub fn run() {
     let mut report = Report::new("e21", "DMA response-loss sweep: drop rate x retry policy");
     let (text, dma_recovery) = build_report();
     let (again_text, again_recovery) = build_report();

@@ -1,12 +1,13 @@
 //! The `run_all` experiment scheduler and metrics consolidator.
 //!
-//! Experiments are independent processes, so the harness can run them
-//! concurrently (`run_all -j N`): worker threads claim the next pending
-//! experiment from a shared cursor, launch it with its output captured,
-//! and replay that output as one contiguous block when the experiment
-//! finishes — interleaving happens at experiment granularity, never
-//! mid-line. Results are keyed by experiment index, so the consolidated
-//! `out/metrics.json` is identical in shape for every `-j`.
+//! Experiments are independent processes, each launched as
+//! `run_all --child NAME` (see [`ScheduleOptions::exe`]), so the harness
+//! can run them concurrently (`run_all -j N`): worker threads claim the
+//! next pending experiment from a shared cursor, launch it with its output
+//! captured, and replay that output as one contiguous block when the
+//! experiment finishes — interleaving happens at experiment granularity,
+//! never mid-line. Results are keyed by experiment index, so the
+//! consolidated `out/metrics.json` is identical in shape for every `-j`.
 //!
 //! The scheduler is self-healing: every launch runs under a wall-clock
 //! watchdog ([`ScheduleOptions::timeout_ms`]), a failed or timed-out or
@@ -39,32 +40,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use crate::cache::nonce_of;
 use crate::chaos::{ChaosInjector, ChaosPlan, Fate};
 use crate::durable;
+use crate::experiments;
 use crate::report::{CACHE_DIR_ENV, FIXED_WALL_ENV, OUT_DIR_ENV, RUN_NONCE_ENV, TRACE_ENV};
-
-/// Every experiment binary, in the paper's evaluation order.
-pub const EXPERIMENTS: &[&str] = &[
-    "e01_dataflows",
-    "e02_pipelining",
-    "e03_sparsity",
-    "e04_load_balance",
-    "e05_gemmini_util",
-    "e06_gemmini_area",
-    "e07_energy",
-    "e08_scnn_util",
-    "e09_outerspace",
-    "e10_mergers",
-    "e11_merger_area",
-    "e12_feature_table",
-    "e13_regfiles",
-    "e14_dma_sweep",
-    "e15_l2_cache",
-    "e16_prior_work_gallery",
-    "e17_figure8_soc",
-    "e18_transformer_24",
-    "e19_regfile_ablation",
-    "e20_dataflow_search",
-    "e21_fault_sweep",
-];
 
 /// Schema identifier for the consolidated metrics payload. Bump only with
 /// a corresponding update to the CI smoke-check and DESIGN.md.
@@ -83,7 +60,7 @@ pub const SUMMARY_FILE: &str = "run_summary.json";
 /// Schema identifier for the run-summary payload.
 pub const SUMMARY_SCHEMA: &str = "stellar-run-summary-v1";
 
-/// The report-file id of an experiment binary (`e04_load_balance` → `e04`).
+/// The report-file id of an experiment (`e04_load_balance` → `e04`).
 pub fn experiment_id(name: &str) -> &str {
     name.split('_').next().unwrap_or(name)
 }
@@ -94,7 +71,7 @@ pub fn report_path(out_dir: &Path, name: &str) -> PathBuf {
 }
 
 /// Resolves a `--only` selection: a comma-separated list of experiment
-/// ids (`e04`) and/or full binary names (`e04_load_balance`), in the
+/// ids (`e04`) and/or full names (`e04_load_balance`), in the
 /// order given. Whitespace around separators is ignored; empty items are
 /// skipped.
 ///
@@ -106,14 +83,13 @@ pub fn report_path(out_dir: &Path, name: &str) -> PathBuf {
 pub fn select_experiments(list: &str) -> Result<Vec<&'static str>, String> {
     let mut picked = Vec::new();
     for want in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let found = EXPERIMENTS
-            .iter()
-            .find(|e| **e == want || experiment_id(e) == want)
-            .ok_or_else(|| format!("unknown experiment {want:?}"))?;
-        if picked.contains(found) {
+        let found = experiments::find(want)
+            .ok_or_else(|| format!("unknown experiment {want:?}"))?
+            .name;
+        if picked.contains(&found) {
             return Err(format!("duplicate experiment {want:?}"));
         }
-        picked.push(*found);
+        picked.push(found);
     }
     if picked.is_empty() {
         return Err("--only selected no experiments".into());
@@ -210,7 +186,7 @@ impl ExperimentStatus {
 /// What one scheduled experiment produced.
 #[derive(Clone, Debug)]
 pub struct ExperimentOutcome {
-    /// The experiment binary name.
+    /// The experiment name.
     pub name: &'static str,
     /// Wall-clock of the last attempt's child process, in milliseconds.
     pub wall_ms: f64,
@@ -261,9 +237,9 @@ pub struct ScheduleOptions {
     pub nonce: String,
     /// Where the children write their reports.
     pub out_dir: PathBuf,
-    /// Directory holding the sibling experiment binaries; children fall
-    /// back to `cargo run` when a sibling is missing.
-    pub exe_dir: PathBuf,
+    /// The executable each experiment is launched as, `exe --child
+    /// NAME`: `run_all` itself, or a stand-in in tests.
+    pub exe: PathBuf,
     /// The suite to run, in consolidation order.
     pub experiments: Vec<&'static str>,
     /// Per-experiment wall-clock budget in milliseconds; a child that
@@ -290,14 +266,14 @@ pub struct ScheduleOptions {
 impl ScheduleOptions {
     /// The full-suite defaults: serial, untraced, 15-minute watchdog, one
     /// retry, quarter-second backoff, no chaos.
-    pub fn suite(nonce: String, out_dir: PathBuf, exe_dir: PathBuf) -> ScheduleOptions {
+    pub fn suite(nonce: String, out_dir: PathBuf, exe: PathBuf) -> ScheduleOptions {
         ScheduleOptions {
             jobs: 1,
             trace: false,
             nonce,
             out_dir,
-            exe_dir,
-            experiments: EXPERIMENTS.to_vec(),
+            exe,
+            experiments: experiments::ALL.iter().map(|e| e.name).collect(),
             timeout_ms: 900_000,
             retries: 1,
             retry_backoff_ms: 250,
@@ -452,9 +428,12 @@ fn drain_pipe<R: std::io::Read + Send + 'static>(
 }
 
 /// Waits for `child` until `deadline` (if any), polling so the watchdog
-/// can fire. Returns `Ok(success)` on exit, `Err(())` on timeout (the
-/// child has been killed and reaped).
+/// can fire. The poll starts at a quarter millisecond and doubles up to
+/// 10 ms, so a short child is seen soon after it exits and a long one
+/// costs few wake-ups. Returns `Ok(success)` on exit, `Err(())` on
+/// timeout (the child has been killed and reaped).
 fn wait_with_deadline(child: &mut Child, deadline: Option<Instant>) -> Result<bool, ()> {
+    let mut poll = Duration::from_micros(250);
     loop {
         match child.try_wait() {
             Ok(Some(status)) => return Ok(status.success()),
@@ -469,7 +448,8 @@ fn wait_with_deadline(child: &mut Child, deadline: Option<Instant>) -> Result<bo
             let _ = child.wait();
             return Err(());
         }
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(poll);
+        poll = (poll * 2).min(Duration::from_millis(10));
     }
 }
 
@@ -487,25 +467,8 @@ fn launch_once(
     let _ = fs::remove_file(report_path(&opts.out_dir, name));
     let fate = injector.map_or(Fate::Healthy, |i| i.fate(name, attempt));
 
-    let path = opts.exe_dir.join(name);
-    let mut cmd = if path.exists() {
-        Command::new(&path)
-    } else {
-        // Fall back to cargo when siblings are not built. Concurrent
-        // fallbacks serialize on cargo's target-dir lock, which is safe —
-        // just slower than pre-built siblings.
-        let mut c = Command::new("cargo");
-        c.args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "stellar-bench",
-            "--bin",
-            name,
-        ]);
-        c
-    };
+    let mut cmd = Command::new(&opts.exe);
+    cmd.args(["--child", name]);
     if opts.trace {
         cmd.env(TRACE_ENV, "1");
     }
@@ -529,7 +492,7 @@ fn launch_once(
                 wall_ms: started.elapsed().as_secs_f64() * 1e3,
                 verdict: Err((
                     ExperimentStatus::Failed,
-                    format!("{name}: spawn {}: {e}", path.display()),
+                    format!("{name}: spawn {}: {e}", opts.exe.display()),
                 )),
                 stdout: Vec::new(),
                 stderr: Vec::new(),
@@ -911,10 +874,10 @@ mod tests {
     }
 
     fn fake_outcomes() -> Vec<ExperimentOutcome> {
-        EXPERIMENTS
+        experiments::ALL
             .iter()
-            .map(|name| ExperimentOutcome {
-                name,
+            .map(|e| ExperimentOutcome {
+                name: e.name,
                 wall_ms: 1.5,
                 error: None,
                 status: ExperimentStatus::Ok,
@@ -1161,6 +1124,20 @@ mod tests {
         assert_eq!(experiment_id("e04_load_balance"), "e04");
         assert_eq!(experiment_id("e21_fault_sweep"), "e21");
         assert_eq!(experiment_id("weird"), "weird");
+        // The suite is E1–E21 in order, one report file and one
+        // `metrics.json` key each.
+        let ids: Vec<&str> = experiments::ALL
+            .iter()
+            .map(|e| experiment_id(e.name))
+            .collect();
+        let want: Vec<String> = (1..=21).map(|n| format!("e{n:02}")).collect();
+        assert_eq!(ids, want);
+        for (n, e) in experiments::ALL.iter().enumerate() {
+            for later in &experiments::ALL[n + 1..] {
+                assert_ne!(e.name, later.name);
+                assert_ne!(experiment_id(e.name), experiment_id(later.name));
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Support library for the Stellar experiment harness.
 //!
-//! The actual experiments live in `src/bin/e*.rs` — one binary per table
-//! or figure of the paper (see `DESIGN.md` for the index); speed is
-//! measured by the standalone `benchmark/` crate. This library holds the
-//! shared report-formatting helpers and the [`report`] pipeline that
-//! emits machine-readable per-experiment JSON for `run_all` to
-//! consolidate.
+//! The experiments live in [`experiments`] — one module per table or
+//! figure of the paper (see `DESIGN.md` for the index), each run in its
+//! own process by `run_all --child NAME`; speed is measured by the
+//! standalone `benchmark/` crate. This library also holds the shared
+//! report-formatting helpers and the [`report`] pipeline that emits
+//! machine-readable per-experiment JSON for `run_all` to consolidate.
 
 pub mod cache;
 pub mod chaos;
 pub mod durable;
+pub mod experiments;
 pub mod harness;
 pub mod profile;
 pub mod report;

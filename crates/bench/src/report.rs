@@ -1,6 +1,6 @@
 //! The shared experiment-report pipeline.
 //!
-//! Every `e*` binary used to format and print its own results ad hoc;
+//! Every experiment used to format and print its own results ad hoc;
 //! this module gives them one lifecycle: open a [`Report`], record
 //! metrics and cycle breakdowns into its [`MetricsRegistry`], then
 //! [`Report::finish`] — which stamps the wall-clock self-profile, writes
@@ -10,7 +10,7 @@
 //!
 //! Configuration is explicit: a [`Report`] is built from
 //! [`ReportOptions`], and only [`ReportOptions::from_env`] (the path the
-//! `e*` binaries take) reads the `STELLAR_*` environment variables that
+//! experiments take) reads the `STELLAR_*` environment variables that
 //! `run_all` sets for its children. Tests and embedders construct options
 //! directly — nothing in this module ever *mutates* the process
 //! environment, which would race across threads.
@@ -100,7 +100,7 @@ pub struct ReportOptions {
 }
 
 impl ReportOptions {
-    /// The configuration the `e*` binaries run under: derived from the
+    /// The configuration the experiments run under: derived from the
     /// `STELLAR_OUT_DIR` / `STELLAR_TRACE` / `STELLAR_RUN_NONCE`
     /// environment variables `run_all` sets for its children.
     pub fn from_env() -> ReportOptions {
@@ -154,7 +154,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Opens a report configured from the environment (the `e*`-binary
+    /// Opens a report configured from the environment (the experiments'
     /// path). See [`Report::with_options`].
     pub fn new(id: &str, title: &str) -> Report {
         Report::with_options(id, title, ReportOptions::from_env())

@@ -1,7 +1,8 @@
 //! Scheduler recovery integration tests: retry, quarantine, watchdog,
 //! chaos injection, and the resume corruption matrix — all driven through
 //! the real `run_experiments` machinery with stub experiment executables
-//! (tiny `#!/bin/sh` scripts staged in a private exe dir), so the process
+//! (tiny `#!/bin/sh` scripts staged in a private exe dir, reached through
+//! a dispatcher that stands in for `run_all --child NAME`), so the process
 //! spawning, output capture, and post-flight validation paths are the
 //! ones `run_all` ships.
 //!
@@ -34,11 +35,18 @@ fn scratch(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
     (exe, out, prep)
 }
 
-/// Installs an executable `#!/bin/sh` stub named like a real experiment.
+/// The stand-in for `run_all` the scheduler launches as `dispatch --child
+/// NAME`; it runs the stub named `NAME` beside it.
+const DISPATCH: &str = "dispatch";
+
+/// Installs an executable `#!/bin/sh` stub named like a real experiment,
+/// and the [`DISPATCH`] script that reaches it.
 fn stub(exe_dir: &Path, name: &str, body: &str) {
-    let path = exe_dir.join(name);
-    fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
-    fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
+    for (file, body) in [(name, body), (DISPATCH, "exec \"$(dirname \"$0\")/$2\"")] {
+        let path = exe_dir.join(file);
+        fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
+        fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
+    }
 }
 
 /// The schema-shaped report payload a healthy experiment would emit,
@@ -68,7 +76,7 @@ fn cp_body(staged: &Path, out: &Path, id: &str) -> String {
 
 /// Scheduler options pinned for byte-stable comparisons.
 fn opts(out: &Path, exe: &Path, experiments: Vec<&'static str>) -> ScheduleOptions {
-    let mut o = ScheduleOptions::suite("n".to_string(), out.to_path_buf(), exe.to_path_buf());
+    let mut o = ScheduleOptions::suite("n".to_string(), out.to_path_buf(), exe.join(DISPATCH));
     o.experiments = experiments;
     o.timeout_ms = 10_000;
     o.retry_backoff_ms = 10;

@@ -16,10 +16,16 @@ use stellar_bench::harness::{
     PreparedRun, ScheduleOptions,
 };
 
+/// The stand-in for `run_all` the scheduler launches as `dispatch --child
+/// NAME`; it runs the stub named `NAME` beside it.
+const DISPATCH: &str = "dispatch";
+
 fn stub(exe_dir: &Path, name: &str, body: &str) {
-    let path = exe_dir.join(name);
-    fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
-    fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
+    for (file, body) in [(name, body), (DISPATCH, "exec \"$(dirname \"$0\")/$2\"")] {
+        let path = exe_dir.join(file);
+        fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
+        fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
+    }
 }
 
 fn wait_for(path: &Path, what: &str) {
@@ -69,7 +75,7 @@ fn interrupt_drains_in_flight_work_and_skips_the_rest() {
         &format!("touch {}", base.join("e02.ran").display()),
     );
 
-    let mut opts = ScheduleOptions::suite("n".to_string(), out.clone(), exe.clone());
+    let mut opts = ScheduleOptions::suite("n".to_string(), out.clone(), exe.join(DISPATCH));
     opts.experiments = vec!["e01_dataflows", "e02_pipelining"];
     opts.timeout_ms = 30_000;
     opts.fixed_wall_ms = Some(0.0);

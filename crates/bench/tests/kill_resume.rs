@@ -2,11 +2,13 @@
 //! SIGKILL mid-suite + `--resume` must reproduce an uninterrupted run's
 //! consolidated `metrics.json` byte for byte, and SIGINT must drain
 //! gracefully with exit code 130 and a partial report marked
-//! `interrupted`; and a run nonce that needs JSON escaping must be
-//! recognised by every staleness check, fresh and resumed.
+//! `interrupted`; a run nonce that needs JSON escaping must be
+//! recognised by every staleness check, fresh and resumed; and
+//! `run_all --child` must refuse a name that is not an experiment.
 //!
-//! The experiments are `#!/bin/sh` stubs (staged via `--exe-dir` and
-//! selected via `--only`) with absolute paths baked in, so nothing here
+//! The experiments are `#!/bin/sh` stubs (reached through a dispatcher
+//! script given as `--exe`, and selected via `--only`) with absolute
+//! paths baked in, so nothing here
 //! depends on the test process environment; wall clocks are pinned with
 //! `--fixed-wall-ms 0` and the nonce with `--nonce n` so byte equality is
 //! meaningful.
@@ -27,10 +29,16 @@ fn scratch(tag: &str) -> PathBuf {
     base
 }
 
+/// The stand-in for `run_all` each experiment is launched as, `dispatch
+/// --child NAME`; it runs the stub named `NAME` beside it.
+const DISPATCH: &str = "dispatch";
+
 fn stub(exe_dir: &Path, name: &str, body: &str) {
-    let path = exe_dir.join(name);
-    fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
-    fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
+    for (file, body) in [(name, body), (DISPATCH, "exec \"$(dirname \"$0\")/$2\"")] {
+        let path = exe_dir.join(file);
+        fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
+        fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
+    }
 }
 
 fn payload(id: &str) -> String {
@@ -65,8 +73,8 @@ fn run_all_cmd(exe_dir: &Path, out: &Path, extra: &[&str]) -> Command {
     cmd.args([
         "--only",
         "e01,e02,e03",
-        "--exe-dir",
-        &exe_dir.display().to_string(),
+        "--exe",
+        &exe_dir.join(DISPATCH).display().to_string(),
         "--nonce",
         "n",
         "--fixed-wall-ms",
@@ -225,8 +233,8 @@ fn sigint_drains_gracefully_with_partial_metrics() {
 
 /// The run nonce is stamped escaped into every report and into the
 /// manifest; the staleness checks must compare what it decodes to. With a
-/// nonce holding `"` and `\`, the real experiment binaries (so the real
-/// report writer) must be consolidated by a fresh run, and a `--resume`
+/// nonce holding `"` and `\`, the real experiments (`run_all --child`, so
+/// the real report writer) must be consolidated by a fresh run, and a `--resume`
 /// must recover the nonce from the manifest and accept the report that
 /// carries it.
 #[test]
@@ -237,24 +245,28 @@ fn a_nonce_that_needs_escaping_survives_a_fresh_run_and_a_resume() {
     let exe = base.join("exe");
     fs::create_dir_all(&exe).unwrap();
     let go = base.join("go");
-    std::os::unix::fs::symlink(
-        env!("CARGO_BIN_EXE_e01_dataflows"),
-        exe.join("e01_dataflows"),
-    )
-    .unwrap();
+    stub(
+        &exe,
+        "e01_dataflows",
+        &format!(
+            "exec {} --child e01_dataflows",
+            env!("CARGO_BIN_EXE_run_all")
+        ),
+    );
     // e02 fails until `go` exists, then is the real experiment too.
     stub(
         &exe,
         "e02_pipelining",
         &format!(
-            "[ -f {} ] || exit 1\nexec {}",
+            "[ -f {} ] || exit 1\nexec {} --child e02_pipelining",
             go.display(),
-            env!("CARGO_BIN_EXE_e02_pipelining")
+            env!("CARGO_BIN_EXE_run_all")
         ),
     );
     let run = |only: &str, extra: &[&str]| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
-        cmd.args(["--only", only, "--exe-dir", &exe.display().to_string()]);
+        let dispatch = exe.join(DISPATCH).display().to_string();
+        cmd.args(["--only", only, "--exe", &dispatch]);
         cmd.args(["--fixed-wall-ms", "0", "--retries", "0"]);
         cmd.args(extra);
         cmd.env("STELLAR_OUT_DIR", &out);
@@ -290,4 +302,27 @@ fn a_nonce_that_needs_escaping_survives_a_fresh_run_and_a_resume() {
     assert!(metrics.contains("\"stale\":0"), "{metrics}");
 
     let _ = fs::remove_dir_all(&base);
+}
+
+/// `run_all --child` resolves its name as `--only` does; a name that is no
+/// experiment is a usage error that runs nothing and writes no report.
+#[test]
+fn a_child_that_names_no_experiment_exits_2_and_writes_nothing() {
+    let out = scratch("child").join("out");
+    let done = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--child", "e99"])
+        .env("STELLAR_OUT_DIR", &out)
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(done.status.code(), Some(2), "{done:?}");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(stderr.contains("e99"), "{stderr}");
+    assert!(done.stdout.is_empty(), "{done:?}");
+    assert!(
+        !out.exists(),
+        "a refused child wrote under {}",
+        out.display()
+    );
+    let _ = fs::remove_dir_all(out.parent().unwrap());
 }
