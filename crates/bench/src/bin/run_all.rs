@@ -306,9 +306,10 @@ fn main() -> ExitCode {
 
     let failures: Vec<&str> = outcomes.iter().filter_map(|o| o.error.as_deref()).collect();
     println!(
-        "\n=== run_all: {} experiments, {} worker(s), {total_ms:.0} ms ===",
+        "\n=== run_all: {} experiments, {} worker(s), {:.0} ms ===",
         opts.experiments.len(),
-        opts.jobs
+        opts.jobs,
+        opts.fixed_wall_ms.unwrap_or(total_ms)
     );
     if interrupted {
         for f in &failures {

@@ -95,22 +95,21 @@ pub fn run() -> Result<(), CompileError> {
         "\n{} distinct valid array structures found in the +-1 coefficient space.",
         found.len()
     );
+    // Byte-stable output: when run_all pins the wall clock, the search
+    // times pin with it, on stdout and in the gauges (a cold and a warm
+    // cached run must consolidate identical metrics).
+    let pinned = report::fixed_wall_ms();
+    let serial_ms = pinned.unwrap_or(serial_ms);
+    let parallel_ms = pinned.unwrap_or(parallel_ms);
     println!(
         "search wall-clock: serial {serial_ms:.1} ms, parallel {parallel_ms:.1} ms \
          ({} worker(s) available), identical rankings",
         rayon::current_num_threads()
     );
-
-    // Byte-stable output: when run_all pins the wall clock, the search
-    // gauges pin with it (a cold and a warm cached run must consolidate
-    // identical metrics).
-    let pinned = report::fixed_wall_ms();
-    let serial_gauge = pinned.unwrap_or(serial_ms);
-    let parallel_gauge = pinned.unwrap_or(parallel_ms);
     let m = report.metrics();
     m.counter_add("valid_dataflows", &[], found.len() as u64);
-    m.gauge_set("explore_wall_ms", &[("mode", "serial")], serial_gauge);
-    m.gauge_set("explore_wall_ms", &[("mode", "parallel")], parallel_gauge);
+    m.gauge_set("explore_wall_ms", &[("mode", "serial")], serial_ms);
+    m.gauge_set("explore_wall_ms", &[("mode", "parallel")], parallel_ms);
     m.gauge_set("explore_workers", &[], rayon::current_num_threads() as f64);
     if let Some(best) = found.first() {
         m.gauge_set("best_cost", &[], best.cost());

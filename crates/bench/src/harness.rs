@@ -9,6 +9,10 @@
 //! never mid-line. Results are keyed by experiment index, so the
 //! consolidated `out/metrics.json` is identical in shape for every `-j`.
 //!
+//! A launch ends when both of the child's output pipes reach EOF, which
+//! every child (`run_all --child NAME`, or a test stub) reaches by
+//! exiting: the launching thread blocks on that event, never polls.
+//!
 //! The scheduler is self-healing: every launch runs under a wall-clock
 //! watchdog ([`ScheduleOptions::timeout_ms`]), a failed or timed-out or
 //! invalid-report attempt is retried with deterministic exponential
@@ -32,8 +36,9 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -336,14 +341,15 @@ fn render_manifest(nonce: &str, trace: bool, experiments: &[&str]) -> String {
 /// A one-line description of why the report is unusable.
 pub fn validate_report(out_dir: &Path, name: &str, nonce: &str) -> Result<(), String> {
     let path = report_path(out_dir, name);
-    let payload = durable::read_envelope(&path).map_err(|e| e.to_string())?;
-    if nonce_of(&payload).as_deref() != Some(nonce) {
-        return Err(format!(
+    match read_report(&path, Some(nonce)) {
+        ReportRead::Body(_) => Ok(()),
+        ReportRead::Stale => Err(format!(
             "{}: stale report (nonce does not match this run)",
             path.display()
-        ));
+        )),
+        ReportRead::Corrupt(e) => Err(format!("{}: {e}", path.display())),
+        ReportRead::Missing(e) => Err(format!("read {}: {e}", path.display())),
     }
-    Ok(())
 }
 
 /// Decides how a (possibly resumed) run starts. With `resume = false`,
@@ -414,43 +420,20 @@ struct Attempt {
 }
 
 /// Drains one child pipe on a thread (so a chatty child can't deadlock
-/// against a full pipe while we wait on the other one).
+/// against a full pipe while we wait on the other one), dropping `eof`
+/// when the pipe closes.
 fn drain_pipe<R: std::io::Read + Send + 'static>(
     pipe: Option<R>,
+    eof: mpsc::Sender<()>,
 ) -> std::thread::JoinHandle<Vec<u8>> {
     std::thread::spawn(move || {
         let mut buf = Vec::new();
         if let Some(mut pipe) = pipe {
             let _ = pipe.read_to_end(&mut buf);
         }
+        drop(eof);
         buf
     })
-}
-
-/// Waits for `child` until `deadline` (if any), polling so the watchdog
-/// can fire. The poll starts at a quarter millisecond and doubles up to
-/// 10 ms, so a short child is seen soon after it exits and a long one
-/// costs few wake-ups. Returns `Ok(success)` on exit, `Err(())` on
-/// timeout (the child has been killed and reaped).
-fn wait_with_deadline(child: &mut Child, deadline: Option<Instant>) -> Result<bool, ()> {
-    let mut poll = Duration::from_micros(250);
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) => return Ok(status.success()),
-            Ok(None) => {}
-            Err(_) => {
-                // The wait itself failed; treat as a failed exit.
-                return Ok(false);
-            }
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(());
-        }
-        std::thread::sleep(poll);
-        poll = (poll * 2).min(Duration::from_millis(10));
-    }
 }
 
 /// Launches one attempt of `name` with captured output, under the
@@ -499,57 +482,64 @@ fn launch_once(
             }
         }
     };
-    let out_reader = drain_pipe(child.stdout.take());
-    let err_reader = drain_pipe(child.stderr.take());
+    // The exit event: nothing is ever sent, so the channel disconnects
+    // once both drains reach EOF. A child holds its pipes until it exits
+    // (see the module docs), so the `wait` below only reaps it.
+    let (eof, exited) = mpsc::channel();
+    let out_reader = drain_pipe(child.stdout.take(), eof.clone());
+    let err_reader = drain_pipe(child.stderr.take(), eof);
 
     if fate == Fate::Kill {
         // Chaos: the child dies as if the OOM killer got it.
         let _ = child.kill();
     }
-    let deadline = match (fate, opts.timeout_ms) {
+    let budget = match (fate, opts.timeout_ms) {
         // Chaos: pretend the child is already wedged so the watchdog
         // path runs (only meaningful when the watchdog is enabled).
-        (Fate::Hang, ms) if ms > 0 => Some(Instant::now()),
-        (_, 0) => None,
-        (_, ms) => Some(started + Duration::from_millis(ms)),
+        (Fate::Hang, ms) if ms > 0 => Duration::ZERO,
+        // `recv_timeout` waits without a deadline when it cannot add
+        // the timeout to `now`.
+        (_, 0) => Duration::MAX,
+        (_, ms) => Duration::from_millis(ms).saturating_sub(started.elapsed()),
     };
-    let waited = match wait_with_deadline(&mut child, deadline) {
-        // A child that exited before the chaos kill landed (SIGKILL on a
-        // zombie is a no-op) still counts as killed, so the injected
-        // fault does not depend on how fast the child ran.
-        Ok(_) if fate == Fate::Kill => Ok(false),
-        w => w,
-    };
+    let timed_out = exited.recv_timeout(budget) == Err(RecvTimeoutError::Timeout);
+    if timed_out {
+        let _ = child.kill();
+    }
+    let exited_cleanly = child.wait().is_ok_and(|status| status.success());
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let stdout = out_reader.join().unwrap_or_default();
     let stderr = err_reader.join().unwrap_or_default();
 
-    let verdict = match waited {
-        Err(()) => Err((
+    let verdict = if timed_out {
+        Err((
             ExperimentStatus::TimedOut,
             format!(
                 "{name}: timed out after {:.0} ms (budget {} ms), killed",
                 wall_ms, opts.timeout_ms
             ),
-        )),
-        Ok(false) => Err((ExperimentStatus::Failed, format!("{name}: exited nonzero"))),
-        Ok(true) => {
-            if fate == Fate::Corrupt {
-                // Chaos: the report survives the child but not the disk.
-                if let Some(i) = injector {
-                    let _ = i.corrupt_file(&report_path(&opts.out_dir, name));
-                }
+        ))
+    } else if !exited_cleanly || fate == Fate::Kill {
+        // A child that exited before the chaos kill landed (SIGKILL on a
+        // zombie is a no-op) still counts as killed, so the injected
+        // fault does not depend on how fast the child ran.
+        Err((ExperimentStatus::Failed, format!("{name}: exited nonzero")))
+    } else {
+        if fate == Fate::Corrupt {
+            // Chaos: the report survives the child but not the disk.
+            if let Some(i) = injector {
+                let _ = i.corrupt_file(&report_path(&opts.out_dir, name));
             }
-            // Post-flight validation: a clean exit without a valid
-            // report is still a failure — a missing or corrupt report
-            // would otherwise surface only at consolidation.
-            validate_report(&opts.out_dir, name, &opts.nonce).map_err(|why| {
-                (
-                    ExperimentStatus::Failed,
-                    format!("{name}: report invalid after clean exit: {why}"),
-                )
-            })
         }
+        // Post-flight validation: a clean exit without a valid report is
+        // still a failure — a missing or corrupt report would otherwise
+        // surface only at consolidation.
+        validate_report(&opts.out_dir, name, &opts.nonce).map_err(|why| {
+            (
+                ExperimentStatus::Failed,
+                format!("{name}: report invalid after clean exit: {why}"),
+            )
+        })
     };
     Attempt {
         wall_ms,
@@ -691,39 +681,30 @@ pub fn run_experiments(opts: &ScheduleOptions, prepared: &PreparedRun) -> Vec<Ex
         .collect()
 }
 
-/// How one report file read went during consolidation.
+/// How one report file read went.
 enum ReportRead {
     Body(String),
     Stale,
-    Corrupt,
-    Missing,
+    Corrupt(durable::EnvelopeError),
+    Missing(std::io::Error),
 }
 
-/// Reads one per-experiment report body, validating envelope and nonce.
-/// A file that is not a valid sealed envelope — bare JSON included — is
-/// corrupt.
+/// Reads one per-experiment report body, validating envelope and nonce
+/// (skip the nonce check when `nonce` is `None`). A file that is not a
+/// valid sealed envelope — bare JSON included — is corrupt.
 fn read_report(path: &Path, nonce: Option<&str>) -> ReportRead {
-    let Ok(body) = fs::read_to_string(path) else {
-        return ReportRead::Missing;
+    let body = match fs::read_to_string(path) {
+        Ok(body) => body,
+        Err(e) => return ReportRead::Missing(e),
     };
     let payload = match durable::unseal(&body) {
-        Ok(payload) => payload.to_string(),
-        Err(e) => {
-            eprintln!("warning: CORRUPT report {} ({e}), skipped", path.display());
-            return ReportRead::Corrupt;
-        }
+        Ok(payload) => payload,
+        Err(e) => return ReportRead::Corrupt(e),
     };
-    if let Some(n) = nonce {
-        if nonce_of(&payload).as_deref() != Some(n) {
-            eprintln!(
-                "warning: STALE report {} (nonce does not match this run) — the experiment \
-                 likely crashed before writing; skipped",
-                path.display()
-            );
-            return ReportRead::Stale;
-        }
+    if nonce.is_some_and(|n| nonce_of(payload).as_deref() != Some(n)) {
+        return ReportRead::Stale;
     }
-    ReportRead::Body(payload)
+    ReportRead::Body(payload.to_string())
 }
 
 /// Context for [`consolidate`] — everything about the run that is not a
@@ -763,9 +744,19 @@ pub fn consolidate(ctx: &ConsolidateCtx<'_>, outcomes: &[ExperimentOutcome]) -> 
         let path = report_path(ctx.out_dir, o.name);
         match read_report(&path, ctx.nonce) {
             ReportRead::Body(body) => experiments.push(body),
-            ReportRead::Stale => stale += 1,
-            ReportRead::Corrupt => corrupt += 1,
-            ReportRead::Missing => {
+            ReportRead::Stale => {
+                eprintln!(
+                    "warning: STALE report {} (nonce does not match this run) — the experiment \
+                     likely crashed before writing; skipped",
+                    path.display()
+                );
+                stale += 1;
+            }
+            ReportRead::Corrupt(e) => {
+                eprintln!("warning: CORRUPT report {} ({e}), skipped", path.display());
+                corrupt += 1;
+            }
+            ReportRead::Missing(_) => {
                 eprintln!("warning: no report from {} ({})", o.name, path.display())
             }
         }

@@ -80,14 +80,60 @@ impl SuiteMatrix {
                     0,
                     seed + 1,
                 );
-                let mut coo = base.to_coo();
-                for (r, c, v) in heavy.to_coo().iter() {
-                    coo.push(r, c, v);
-                }
-                CsrMatrix::from_coo(coo)
+                sum_rows(&base, &heavy)
             }
         }
     }
+}
+
+/// `base + heavy`, merged row by row, with every exact `0.0` dropped: the
+/// matrix `CsrMatrix::from_coo` builds from `base`'s entries followed by
+/// `heavy`'s. Its stable sort puts `base` first at a shared coordinate, so
+/// the sum there is `base + heavy`.
+///
+/// # Panics
+///
+/// Panics if the two matrices differ in shape.
+fn sum_rows(base: &CsrMatrix, heavy: &CsrMatrix) -> CsrMatrix {
+    assert_eq!(
+        (base.rows(), base.cols()),
+        (heavy.rows(), heavy.cols()),
+        "summed matrices must share a shape"
+    );
+    let cap = base.nnz() + heavy.nnz();
+    let (mut row_ptr, mut col_idx, mut values) =
+        (vec![0], Vec::with_capacity(cap), Vec::with_capacity(cap));
+    for r in 0..base.rows() {
+        let ((bc, bv), (hc, hv)) = (base.row(r), heavy.row(r));
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let (c, v) = match (bc.get(i), hc.get(j)) {
+                (None, None) => break,
+                (Some(&b), Some(&h)) if b == h => {
+                    (i, j) = (i + 1, j + 1);
+                    (b, bv[i - 1] + hv[j - 1])
+                }
+                (Some(&b), Some(&h)) if h < b => {
+                    j += 1;
+                    (h, hv[j - 1])
+                }
+                (None, Some(&h)) => {
+                    j += 1;
+                    (h, hv[j - 1])
+                }
+                (Some(&b), _) => {
+                    i += 1;
+                    (b, bv[i - 1])
+                }
+            };
+            if v != 0.0 {
+                col_idx.push(c);
+                values.push(v);
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw(base.rows(), base.cols(), row_ptr, col_idx, values)
 }
 
 /// The evaluation suite: the SuiteSparse matrices OuterSPACE (and SpArch)
@@ -227,6 +273,7 @@ pub fn suite() -> Vec<SuiteMatrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn suite_has_the_paper_matrices() {
@@ -279,6 +326,66 @@ mod tests {
             w_skew > 2.0 * f_skew,
             "webbase skew {w_skew:.1} should dwarf poisson3Da skew {f_skew:.1}"
         );
+    }
+
+    /// The route [`sum_rows`] replaced: `base`'s entries then `heavy`'s in
+    /// one COO, sorted, summed and zero-dropped by `from_coo`.
+    fn sum_via_coo(base: &CsrMatrix, heavy: &CsrMatrix) -> CsrMatrix {
+        let mut coo = base.to_coo();
+        for (r, c, v) in heavy.to_coo().iter() {
+            coo.push(r, c, v);
+        }
+        CsrMatrix::from_coo(coo)
+    }
+
+    const VALUES: [f64; 8] = [0.0, -0.0, 1.5, -1.5, 0.1, -0.1, 0.2, 3.25];
+
+    /// A `rows × cols` CSR with the entry `pick` gives each cell, if any.
+    fn csr(rows: usize, cols: usize, pick: impl Fn(usize) -> Option<f64>) -> CsrMatrix {
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..rows {
+            for c in 0..cols {
+                if let Some(v) = pick(r * cols + c) {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The row merge is the COO route, array for array, down to the
+        /// sign bit of every value. Each cell draws `(base, heavy,
+        /// cancel)`, where an index past `VALUES` leaves that side empty:
+        /// small shapes make the two share coordinates often, `cancel`
+        /// stores `-base` in `heavy` so sums come to exactly zero, and
+        /// explicit zeros of both signs occur on either side.
+        #[test]
+        fn row_merge_matches_coo_route(
+            rows in 0usize..7,
+            cols in 0usize..7,
+            cells in proptest::collection::vec((0..12usize, 0..12usize, proptest::bool::ANY), 36),
+        ) {
+            let value = |k: usize| VALUES.get(k).copied();
+            let base = csr(rows, cols, |n| value(cells[n].0));
+            let heavy = csr(rows, cols, |n| match cells[n] {
+                (b, _, true) if b < VALUES.len() => Some(-VALUES[b]),
+                (_, h, _) => value(h),
+            });
+            let got = sum_rows(&base, &heavy);
+            let want = sum_via_coo(&base, &heavy);
+            prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+            prop_assert_eq!(got.row_ptr(), want.row_ptr());
+            prop_assert_eq!(got.col_idx(), want.col_idx());
+            let bits = |m: &CsrMatrix| -> Vec<u64> {
+                m.values().iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]
